@@ -14,7 +14,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from .exceptions import NotPositiveDefinite, SingularGram
-from .model import MixedModel, sigma_as_array
+from .model import MixedModel, sigma_as_array, sigma_matrix
 
 
 class SigmaPoint:
@@ -22,8 +22,10 @@ class SigmaPoint:
 
     Lazily caches Sigma, its Cholesky factor, Sigma^-1, the Gram matrix and
     the projection P = Sigma^-1 - Sigma^-1 X (X'Sigma^-1 X)^-1 X'Sigma^-1.
-    Instances are cheap views over an immutable model; create one per
-    parameter point and discard it.
+    Instances are cheap views over an immutable model.  Build one per
+    parameter point and pass it to every computation at that point: a fit
+    returns its point at sigma-hat as ``FitResult.workspace``, which the
+    EBLUP and MSE code reuse.
     """
 
     def __init__(self, model: MixedModel, sigma):
@@ -34,10 +36,12 @@ class SigmaPoint:
 
     @cached_property
     def sigma_mat(self) -> np.ndarray:
-        fam = self.model.family
-        Z = self.model.Z
-        S = fam.r_matrix(self.sigma) + Z @ fam.g_matrix(self.sigma) @ Z.T
-        return 0.5 * (S + S.T)
+        return sigma_matrix(self.model, self.sigma)
+
+    @cached_property
+    def g_diag(self) -> np.ndarray:
+        """Diagonal of G(sigma) = sum_i sigma_i dG/dsigma_i."""
+        return sum(value * d for value, d in zip(self.sigma, self.model.dg_diags))
 
     @cached_property
     def _cho(self):
@@ -49,8 +53,13 @@ class SigmaPoint:
             ) from err
 
     def solve(self, b: np.ndarray) -> np.ndarray:
-        """Sigma^-1 b via the cached Cholesky factor."""
-        return sla.cho_solve(self._cho, b)
+        """Sigma^-1 b via the cached Cholesky factor.
+
+        Only b is checked for non-finite entries: the factor came from a
+        checked, finite Sigma, and checking its n^2 entries on every solve
+        would cost as much as the solve.
+        """
+        return sla.cho_solve(self._cho, np.asarray_chkfinite(b), check_finite=False)
 
     @cached_property
     def sigma_inv(self) -> np.ndarray:

@@ -472,6 +472,7 @@ def report_as_dict(report: McReport) -> dict:
                 "score_z": d.score_z.tolist(),
                 "n_boundary": d.n_boundary,
                 "boundary_rate": d.boundary_rate,
+                "n_not_converged": d.n_not_converged,
             }
             for d in report.diagnostics
         ],

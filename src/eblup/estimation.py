@@ -11,7 +11,7 @@ condition a_i <= 0 at a lower bound).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import linalg as sla
@@ -22,7 +22,6 @@ from .likelihood import (
     InformationMatrix,
     as_method,
     effective_dims_at,
-    expected_information,
     information_at,
     loglik_at,
     score_at,
@@ -37,7 +36,10 @@ class FitResult:
     """Outcome of a variance-component fit.
 
     ``loglik_trace`` records the criterion value at the start and after each
-    accepted step; it is nondecreasing by construction.
+    accepted step; it is nondecreasing by construction.  ``workspace`` is the
+    factorized covariance at sigma-hat that produced ``beta_hat`` and
+    ``information``; the EBLUP and MSE code reuse it instead of factorizing
+    Sigma again.
     """
 
     sigma_hat: SigmaVector
@@ -52,6 +54,13 @@ class FitResult:
     effective_dims: np.ndarray
     loglik: float
     loglik_trace: tuple[float, ...]
+    workspace: SigmaPoint = field(repr=False)
+
+    def workspace_for(self, model: MixedModel) -> SigmaPoint:
+        """The fit's workspace when it belongs to ``model``, else a fresh one."""
+        if self.workspace.model is model:
+            return self.workspace
+        return SigmaPoint(model, self.sigma_hat)
 
 
 def gls_beta(model: MixedModel, sigma, y) -> tuple[np.ndarray, np.ndarray]:
@@ -88,9 +97,10 @@ def _ascent_direction(A: np.ndarray, score: np.ndarray) -> np.ndarray:
 
 
 def _scaled_score(sp: SigmaPoint, y: np.ndarray, method: str):
+    """Score, scaled score and effective dimensions at the workspace's point."""
     score = score_at(sp, y, method)
     dims = effective_dims_at(sp)
-    return score, score / (1.0 + dims**2)
+    return score, score / (1.0 + dims**2), dims
 
 
 def _kkt_ok(sigma: np.ndarray, scaled: np.ndarray, tol: float) -> bool:
@@ -137,7 +147,7 @@ def fit(
     converged = False
 
     for _ in range(max_iter):
-        score, scaled = _scaled_score(sp, y, m)
+        score, scaled, dims = _scaled_score(sp, y, m)
         if _kkt_ok(sigma, scaled, tol):
             converged = True
             break
@@ -165,7 +175,7 @@ def fit(
         iterations += 1
         trace.append(ll)
     else:
-        score, scaled = _scaled_score(sp, y, m)
+        score, scaled, dims = _scaled_score(sp, y, m)
         converged = _kkt_ok(sigma, scaled, tol)
 
     promoted = False
@@ -174,14 +184,14 @@ def fit(
     if promoted:
         sigma = sp.sigma.copy()
         trace.append(ll)
-        score, scaled = _scaled_score(sp, y, m)
+        score, scaled, dims = _scaled_score(sp, y, m)
         converged = _kkt_ok(sigma, scaled, tol)
 
-    score, scaled = _scaled_score(sp, y, m)
-    dims = effective_dims_at(sp)
+    # score, scaled and dims are those of the final point sp
     sv = validate_sigma(model, sigma)
+    info = InformationMatrix(information_at(sp, m), m)
     try:
-        info = expected_information(model, sv, m)
+        info.fisher_inv  # noqa: B018 - the invertibility check
     except SingularInformation:
         info = None
     return FitResult(
@@ -197,6 +207,7 @@ def fit(
         effective_dims=dims,
         loglik=ll,
         loglik_trace=tuple(trace),
+        workspace=sp,
     )
 
 

@@ -253,9 +253,25 @@ class MixedModel:
         mats = []
         for i in range(self.family.s):
             v = self.family.dr_matrix(i) + self.Z @ self.family.dg_matrix(i) @ self.Z.T
+            # exactly symmetric, so every sum of the V_i is too
+            v = 0.5 * (v + v.T)
             v.setflags(write=False)
             mats.append(v)
         return tuple(mats)
+
+    @cached_property
+    def dg_diags(self) -> tuple[np.ndarray, ...]:
+        """Diagonals of the constant dG / d sigma_i.
+
+        Every family's G is diagonal and linear in sigma, so G(sigma) m is
+        an elementwise product and needs no r x r matrix.
+        """
+        diags = []
+        for i in range(self.family.s):
+            d = np.diagonal(self.family.dg_matrix(i)).copy()
+            d.setflags(write=False)
+            diags.append(d)
+        return tuple(diags)
 
 
 # --------------------------------------------------------------------------
@@ -409,6 +425,19 @@ def sigma_as_array(model: MixedModel, sigma) -> np.ndarray:
     return validate_sigma(model, sigma).values
 
 
+def sigma_matrix(model: MixedModel, values: np.ndarray) -> np.ndarray:
+    """Sigma(sigma) = D + sum_i sigma_i V_i for a validated sigma array.
+
+    D = R(0) is the part of R that no component scales (diag(phi) for
+    Fay-Herriot, zero otherwise).  The sum costs O(s n^2), against O(n^3)
+    for the dense product Z G Z'.  Positive definiteness is not checked.
+    """
+    S = model.family.r_matrix(np.zeros(model.s))
+    for value, v in zip(values, model.v_mats):
+        S += value * v
+    return S
+
+
 def assemble_sigma(model: MixedModel, sigma) -> np.ndarray:
     """Assemble the n x n covariance Sigma(sigma) = R + Z G Z'.
 
@@ -416,9 +445,7 @@ def assemble_sigma(model: MixedModel, sigma) -> np.ndarray:
     factor, which happens e.g. at sigma_0 = 0.
     """
     values = sigma_as_array(model, sigma)
-    fam = model.family
-    S = fam.r_matrix(values) + model.Z @ fam.g_matrix(values) @ model.Z.T
-    S = 0.5 * (S + S.T)
+    S = sigma_matrix(model, values)
     try:
         np.linalg.cholesky(S)
     except np.linalg.LinAlgError as err:
@@ -453,6 +480,14 @@ class PredictionTarget:
         m.setflags(write=False)
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "m", m)
+
+
+def check_target(model: MixedModel, target: PredictionTarget) -> None:
+    """Raise ValueError unless the target's l and m fit the model's X and Z."""
+    if target.l.shape != (model.p,):
+        raise ValueError(f"target l has shape {target.l.shape}, expected ({model.p},)")
+    if target.m.shape != (model.r,):
+        raise ValueError(f"target m has shape {target.m.shape}, expected ({model.r},)")
 
 
 def area_target(model: MixedModel, i: int) -> PredictionTarget:

@@ -22,8 +22,8 @@ import numpy as np
 from ._linalg import SigmaPoint
 from .estimation import FitResult
 from .likelihood import InformationMatrix, as_method, information_at, ml_score_bias_at
-from .model import MixedModel, PredictionTarget
-from .prediction import WARN_BOUNDARY, _check_target, grad_s
+from .model import MixedModel, PredictionTarget, check_target
+from .prediction import WARN_BOUNDARY, grad_s_at, weights_at
 
 WARN_SINGULAR_INFORMATION = "singular-information"
 
@@ -68,8 +68,7 @@ class DeltaTerms:
 
 
 def _g1_at(sp: SigmaPoint, target: PredictionTarget) -> float:
-    G = sp.model.family.g_matrix(sp.sigma)
-    gm = G @ target.m
+    gm = sp.g_diag * target.m
     c = sp.model.Z @ gm
     val = float(target.m @ gm - c @ sp.solve(c))
     return max(val, 0.0)
@@ -77,42 +76,40 @@ def _g1_at(sp: SigmaPoint, target: PredictionTarget) -> float:
 
 def g1(model: MixedModel, sigma, target: PredictionTarget) -> float:
     """Known-sigma prediction variance m'(G - G Z' Sigma^-1 Z G)m."""
-    _check_target(model, target)
+    check_target(model, target)
     return _g1_at(SigmaPoint(model, sigma), target)
 
 
 def _g2_at(sp: SigmaPoint, target: PredictionTarget) -> float:
-    gm = sp.model.family.g_matrix(sp.sigma) @ target.m
-    s_w = sp.solve(sp.model.Z @ gm)
-    u = target.l - sp.model.X.T @ s_w
+    u = target.l - sp.model.X.T @ weights_at(sp, target)
     return max(float(u @ sp.gram_solve(u)), 0.0)
 
 
 def g2(model: MixedModel, sigma, target: PredictionTarget) -> float:
     """beta-estimation contribution (l - X's)'(X' Sigma^-1 X)^-1 (l - X's)."""
-    _check_target(model, target)
+    check_target(model, target)
     return _g2_at(SigmaPoint(model, sigma), target)
 
 
-def _g3_at(sp: SigmaPoint, target: PredictionTarget, info: InformationMatrix) -> float:
-    grad = grad_s(sp.model, sp.sigma, target)
+def _g3_at(sp: SigmaPoint, grad: np.ndarray, info: InformationMatrix) -> float:
+    """g3 from the weight gradient ``grad = grad_s_at(sp, target)``."""
     inner = grad.T @ sp.sigma_mat @ grad
     return max(float(np.sum(inner * info.fisher_inv)), 0.0)
 
 
 def g3(model: MixedModel, sigma, target: PredictionTarget, method: str = "REML") -> float:
     """sigma-estimation contribution tr{[grad s]' Sigma [grad s] (-A)^-1}."""
-    _check_target(model, target)
+    check_target(model, target)
     method = as_method(method)
     sp = SigmaPoint(model, sigma)
     info = InformationMatrix(information_at(sp, method), method)
-    return _g3_at(sp, target, info)
+    return _g3_at(sp, grad_s_at(sp, target), info)
 
 
 def _g3_data_at(
-    sp: SigmaPoint, y: np.ndarray, target: PredictionTarget, info: InformationMatrix
+    sp: SigmaPoint, y: np.ndarray, grad: np.ndarray, info: InformationMatrix
 ) -> float:
-    grad = grad_s(sp.model, sp.sigma, target)
+    """g3_data from the weight gradient ``grad = grad_s_at(sp, target)``."""
     resid = y - sp.model.X @ sp.gls(y)
     a = grad.T @ resid
     return max(float(a @ info.fisher_solve(a)), 0.0)
@@ -126,12 +123,12 @@ def g3_data(
     Unbiased for g3 to second order when evaluated at the REML estimate;
     unlike g3 it varies with the realized residual.
     """
-    _check_target(model, target)
+    check_target(model, target)
     method = as_method(method)
     y = np.asarray(y, dtype=float)
     sp = SigmaPoint(model, sigma)
     info = InformationMatrix(information_at(sp, method), method)
-    return _g3_data_at(sp, y, target, info)
+    return _g3_data_at(sp, y, grad_s_at(sp, target), info)
 
 
 def _g10_at(sp: SigmaPoint, target: PredictionTarget, info_ml: InformationMatrix) -> float:
@@ -143,30 +140,25 @@ def _g10_at(sp: SigmaPoint, target: PredictionTarget, info_ml: InformationMatrix
 
 def g10(model: MixedModel, sigma, target: PredictionTarget) -> float:
     """ML-only extra bias term b' A_M^-1 g_M0 (typically negative)."""
-    _check_target(model, target)
+    check_target(model, target)
     sp = SigmaPoint(model, sigma)
     info = InformationMatrix(information_at(sp, "ML"), "ML")
     return _g10_at(sp, target, info)
 
 
 def _dg1_at(sp: SigmaPoint, target: PredictionTarget) -> np.ndarray:
-    fam = sp.model.family
-    Z = sp.model.Z
-    gm = fam.g_matrix(sp.sigma) @ target.m
-    c = Z @ gm
-    sc = sp.solve(c)
-    out = np.empty(sp.model.s)
-    for i in range(sp.model.s):
-        ci = Z @ (fam.dg_matrix(i) @ target.m)
-        out[i] = target.m @ (fam.dg_matrix(i) @ target.m) - 2.0 * (ci @ sc) + sc @ (
-            sp.model.v_mats[i] @ sc
-        )
+    model = sp.model
+    sc = weights_at(sp, target)
+    out = np.empty(model.s)
+    for i, (d, v) in enumerate(zip(model.dg_diags, model.v_mats)):
+        dm = d * target.m
+        out[i] = target.m @ dm - 2.0 * ((model.Z @ dm) @ sc) + sc @ (v @ sc)
     return out
 
 
 def dg1_dsigma(model: MixedModel, sigma, target: PredictionTarget) -> np.ndarray:
     """Analytic gradient of g1 in sigma (the b vector of the corrections)."""
-    _check_target(model, target)
+    check_target(model, target)
     return _dg1_at(SigmaPoint(model, sigma), target)
 
 
@@ -188,10 +180,12 @@ def mse_estimators(
     estimator g1 + g2 survives; the report then carries the
     "singular-information" warning and None for the corrected fields.
     ``data_specific`` additionally evaluates g3_data at the observed y.
+    Everything is evaluated on the fit's workspace when it belongs to
+    ``model``, so no factorization of Sigma is repeated.
     """
-    _check_target(model, target)
+    check_target(model, target)
     y = np.asarray(y, dtype=float)
-    sp = SigmaPoint(model, fit.sigma_hat)
+    sp = fit.workspace_for(model)
     g1v = _g1_at(sp, target)
     g2v = _g2_at(sp, target)
     naive = g1v + g2v
@@ -207,8 +201,9 @@ def mse_estimators(
             warnings=warnings + (WARN_SINGULAR_INFORMATION,),
         )
 
-    g3v = _g3_at(sp, target, info)
-    g3d = _g3_data_at(sp, y, target, info) if data_specific else None
+    grad = grad_s_at(sp, target)
+    g3v = _g3_at(sp, grad, info)
+    g3d = _g3_data_at(sp, y, grad, info) if data_specific else None
     pr = naive + 2.0 * g3v
     if fit.method == "ML":
         g10v = _g10_at(sp, target, info)
@@ -226,11 +221,11 @@ def mse_true_approx(
     model: MixedModel, sigma_true, target: PredictionTarget, method: str = "REML"
 ) -> float:
     """Second-order approximation g1 + g2 + g3 of MSE[t(sigma_hat)] at the true sigma."""
-    _check_target(model, target)
+    check_target(model, target)
     method = as_method(method)
     sp = SigmaPoint(model, sigma_true)
     info = InformationMatrix(information_at(sp, method), method)
-    return _g1_at(sp, target) + _g2_at(sp, target) + _g3_at(sp, target, info)
+    return _g1_at(sp, target) + _g2_at(sp, target) + _g3_at(sp, grad_s_at(sp, target), info)
 
 
 # --------------------------------------------------------------------------
@@ -272,13 +267,13 @@ def delta_terms(
     summing to g10 - g3.  Subtracting the sum from eta(sigma_hat) recovers
     the second-order estimators assembled by mse_estimators.
     """
-    _check_target(model, target)
+    check_target(model, target)
     method = as_method(method)
     sp = SigmaPoint(model, sigma)
     info = InformationMatrix(information_at(sp, method), method)
     b = _dg1_at(sp, target)
     w = _w_vector(sp, info, method)
-    g3v = _g3_at(sp, target, info)
+    g3v = _g3_at(sp, grad_s_at(sp, target), info)
     bw = -float(b @ info.fisher_solve(w))
     if method == "REML":
         d0, d1, d3 = 0.0, bw, -bw

@@ -18,7 +18,7 @@ import numpy as np
 
 from ._linalg import SigmaPoint
 from .estimation import FitResult
-from .model import MixedModel, PredictionTarget
+from .model import MixedModel, PredictionTarget, check_target
 
 WARN_BOUNDARY = "boundary"
 
@@ -34,47 +34,48 @@ class BlupResult:
     warnings: tuple[str, ...] = ()
 
 
-def _check_target(model: MixedModel, target: PredictionTarget) -> None:
-    if target.l.shape != (model.p,):
-        raise ValueError(f"target l has shape {target.l.shape}, expected ({model.p},)")
-    if target.m.shape != (model.r,):
-        raise ValueError(f"target m has shape {target.m.shape}, expected ({model.r},)")
+def weights_at(sp: SigmaPoint, target: PredictionTarget) -> np.ndarray:
+    """The weight vector s(sigma) = Sigma^-1 Z G m at the workspace's point."""
+    return sp.solve(sp.model.Z @ (sp.g_diag * target.m))
 
 
 def blup_weights(model: MixedModel, sigma, target: PredictionTarget) -> np.ndarray:
     """The weight vector s(sigma) = Sigma^-1 Z G m."""
-    _check_target(model, target)
-    sp = SigmaPoint(model, sigma)
-    gm = model.family.g_matrix(sp.sigma) @ target.m
-    return sp.solve(model.Z @ gm)
+    check_target(model, target)
+    return weights_at(SigmaPoint(model, sigma), target)
 
 
-def blup(model: MixedModel, sigma, y, target: PredictionTarget) -> BlupResult:
-    """BLUP of the target at known sigma, with beta from GLS."""
-    _check_target(model, target)
-    y = np.asarray(y, dtype=float)
-    sp = SigmaPoint(model, sigma)
+def blup_at(sp: SigmaPoint, y: np.ndarray, target: PredictionTarget) -> BlupResult:
+    """BLUP of the target at the workspace's sigma, with beta from GLS."""
+    model = sp.model
     beta = sp.gls(y)
     resid = y - model.X @ beta
-    gm = model.family.g_matrix(sp.sigma) @ target.m
-    s_w = sp.solve(model.Z @ gm)
-    v_tilde = model.family.g_matrix(sp.sigma) @ (model.Z.T @ sp.solve(resid))
+    s_w = weights_at(sp, target)
+    v_tilde = sp.g_diag * (model.Z.T @ sp.solve(resid))
     value = float(target.l @ beta + s_w @ resid)
     return BlupResult(value=value, s_weights=s_w, beta_used=beta, v_tilde=v_tilde)
 
 
+def blup(model: MixedModel, sigma, y, target: PredictionTarget) -> BlupResult:
+    """BLUP of the target at known sigma, with beta from GLS."""
+    check_target(model, target)
+    return blup_at(SigmaPoint(model, sigma), np.asarray(y, dtype=float), target)
+
+
+def grad_s_at(sp: SigmaPoint, target: PredictionTarget) -> np.ndarray:
+    """n x s gradient of the BLUP weights at the workspace's sigma."""
+    model = sp.model
+    sc = weights_at(sp, target)
+    rhs = np.column_stack(
+        [model.Z @ (d * target.m) - v @ sc for d, v in zip(model.dg_diags, model.v_mats)]
+    )
+    return sp.solve(rhs)
+
+
 def grad_s(model: MixedModel, sigma, target: PredictionTarget) -> np.ndarray:
     """n x s gradient of the BLUP weights in sigma, column per component."""
-    _check_target(model, target)
-    sp = SigmaPoint(model, sigma)
-    fam = model.family
-    gm = fam.g_matrix(sp.sigma) @ target.m
-    sc = sp.solve(model.Z @ gm)
-    cols = []
-    for i in range(model.s):
-        rhs = model.Z @ (fam.dg_matrix(i) @ target.m) - model.v_mats[i] @ sc
-        cols.append(sp.solve(rhs))
-    return np.column_stack(cols)
+    check_target(model, target)
+    return grad_s_at(SigmaPoint(model, sigma), target)
 
 
 def observation_weights(model: MixedModel, sigma, target: PredictionTarget) -> np.ndarray:
@@ -84,20 +85,20 @@ def observation_weights(model: MixedModel, sigma, target: PredictionTarget) -> n
     w = Sigma^-1 X (X'Sigma^-1 X)^-1 (l - X's) + s; useful for comparing the
     predictor against direct minimum-MSE solutions.
     """
-    _check_target(model, target)
+    check_target(model, target)
     sp = SigmaPoint(model, sigma)
-    gm = model.family.g_matrix(sp.sigma) @ target.m
-    s_w = sp.solve(model.Z @ gm)
+    s_w = weights_at(sp, target)
     return sp.six @ sp.gram_solve(target.l - model.X.T @ s_w) + s_w
 
 
 def eblup(model: MixedModel, fit: FitResult, y, target: PredictionTarget) -> BlupResult:
-    """BLUP evaluated at the fitted sigma-hat.
+    """BLUP evaluated at the fitted sigma-hat, on the fit's workspace.
 
     A fit that clamped some component to the boundary yields a valid
     predictor; the result then carries the "boundary" warning marker.
     """
-    res = blup(model, fit.sigma_hat, y, target)
+    check_target(model, target)
+    res = blup_at(fit.workspace_for(model), np.asarray(y, dtype=float), target)
     if fit.boundary_hit:
         res = dataclasses.replace(res, warnings=res.warnings + (WARN_BOUNDARY,))
     return res

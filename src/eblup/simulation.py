@@ -20,10 +20,16 @@ import numpy as np
 from ._linalg import SigmaPoint
 from .estimation import fit
 from .exceptions import NotPositiveDefinite, SimulationError
-from .likelihood import as_method, information_at, ml_score_bias_at, score_at
+from .likelihood import (
+    InformationMatrix,
+    as_method,
+    information_at,
+    ml_score_bias_at,
+    score_at,
+)
 from .model import BOUNDARY_TOL, MixedModel, PredictionTarget, sigma_as_array
-from .mse import _g1_at, _g2_at, mse_estimators, mse_true_approx
-from .prediction import blup
+from .mse import _g1_at, _g2_at, _g3_at, mse_estimators
+from .prediction import blup_at, eblup, grad_s_at
 
 ESTIMATORS = ("naive", "prasad_rao", "second_order", "data_specific")
 
@@ -132,7 +138,11 @@ class McCell:
 
 @dataclass(frozen=True, eq=False)
 class MethodDiagnostics:
-    """Score moments at the true sigma plus boundary/failure bookkeeping."""
+    """Score moments at the true sigma plus boundary/failure bookkeeping.
+
+    ``n_not_converged`` counts the used replicates whose fit reported
+    ``converged=False``; they stay in every aggregate.
+    """
 
     method: str
     score_mean: np.ndarray
@@ -141,6 +151,7 @@ class MethodDiagnostics:
     score_z: np.ndarray
     n_boundary: int
     boundary_rate: float
+    n_not_converged: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -186,11 +197,12 @@ def _safe_z(diff: np.ndarray, se: np.ndarray) -> np.ndarray:
 
 
 def _thread_count(n_jobs: int) -> int:
+    """Worker count: EBLUP_THREADS when set, else 1 (serial).
+
+    Replicates are GIL-bound at desk scale, so threads are opt-in.
+    """
     env = os.environ.get("EBLUP_THREADS", "").strip()
-    if env:
-        cap = max(1, int(env))
-    else:
-        cap = os.cpu_count() or 1
+    cap = max(1, int(env)) if env else 1
     return max(1, min(cap, n_jobs))
 
 
@@ -199,26 +211,28 @@ def _thread_count(n_jobs: int) -> int:
 # --------------------------------------------------------------------------
 
 
-def _run_replicate(config: McConfig, r: int) -> _Replicate:
+def _run_replicate(config: McConfig, r: int, sp_true: SigmaPoint) -> _Replicate:
+    """One replicate; ``sp_true`` is the study's workspace at the true sigma."""
     model = config.model
     rec = _Replicate(ok=True)
     try:
         y, v = _draw(model, config.sigma_true, config.beta_true, config.base_seed + r)
         rec.mu = [float(t.l @ config.beta_true + t.m @ v) for t in config.targets]
         for k, t in enumerate(config.targets):
-            b = blup(model, config.sigma_true, y, t)
+            b = blup_at(sp_true, y, t)
             rec.blup_sq_err.append((b.value - rec.mu[k]) ** 2)
         want_data = "data_specific" in config.estimators
         for method in config.methods:
             res = fit(model, y, method=method)
             entry = {
                 "boundary": bool(res.boundary_hit),
-                "score_true": score_at(SigmaPoint(model, config.sigma_true), y, method),
+                "converged": bool(res.converged),
+                "score_true": score_at(sp_true, y, method),
                 "targets": [],
             }
             for k, t in enumerate(config.targets):
                 rep = mse_estimators(model, res, y, t, data_specific=want_data)
-                pred = blup(model, res.sigma_hat, y, t)
+                pred = eblup(model, res, y, t)
                 values = {"naive": rep.naive}
                 if rep.prasad_rao is not None:
                     values["prasad_rao"] = rep.prasad_rao
@@ -241,18 +255,23 @@ def _run_replicate(config: McConfig, r: int) -> _Replicate:
 def run_study(config: McConfig) -> McReport:
     """Run the full study and aggregate into an McReport.
 
-    Replicates run in parallel (capped by EBLUP_THREADS); failures are
-    recorded and excluded, and a failure rate above 1% aborts with
-    SimulationError.  Aggregation is ordered by replicate index, so the
-    report does not depend on scheduling.
+    Replicates run serially, or on EBLUP_THREADS worker threads when that
+    is set; failures are recorded and excluded, and a failure rate above 1%
+    aborts with SimulationError.  Aggregation is ordered by replicate index,
+    so the report does not depend on scheduling.  One workspace at the true
+    sigma serves every replicate and the aggregation.
     """
     n_rep = config.replicates
+    model = config.model
+    sp_true = SigmaPoint(model, config.sigma_true)
     workers = _thread_count(n_rep)
     if workers == 1:
-        records = [_run_replicate(config, r) for r in range(n_rep)]
+        records = [_run_replicate(config, r, sp_true) for r in range(n_rep)]
     else:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            records = list(pool.map(lambda r: _run_replicate(config, r), range(n_rep)))
+            records = list(
+                pool.map(lambda r: _run_replicate(config, r, sp_true), range(n_rep))
+            )
 
     used = [rec for rec in records if rec.ok]
     n_failed = n_rep - len(used)
@@ -265,8 +284,6 @@ def run_study(config: McConfig) -> McReport:
     if not used:
         raise SimulationError("no replicate succeeded")
 
-    model = config.model
-    sp_true = SigmaPoint(model, config.sigma_true)
     cells = []
     diagnostics = []
     for method in config.methods:
@@ -285,6 +302,7 @@ def run_study(config: McConfig) -> McReport:
         se_arr = np.array(se_score)
         z = _safe_z(mean_arr - target_vec, se_arr)
         n_boundary = sum(1 for rec in used if rec.per_method[method]["boundary"])
+        n_not_converged = sum(1 for rec in used if not rec.per_method[method]["converged"])
         diagnostics.append(
             MethodDiagnostics(
                 method=method,
@@ -294,8 +312,10 @@ def run_study(config: McConfig) -> McReport:
                 score_z=z,
                 n_boundary=n_boundary,
                 boundary_rate=n_boundary / len(used),
+                n_not_converged=n_not_converged,
             )
         )
+        info_true = InformationMatrix(information_at(sp_true, method), method)
         for k, t in enumerate(config.targets):
             emp, emp_se = _mean_se(
                 [rec.per_method[method]["targets"][k]["sq_err"] for rec in used]
@@ -322,8 +342,10 @@ def run_study(config: McConfig) -> McReport:
                 if rec.per_method[method]["targets"][k]["g3_data"] is not None
             ]
             g3_mean, g3_se = _mean_se(g3d) if len(g3d) >= 2 else (None, None)
+            naive_true = _g1_at(sp_true, t) + _g2_at(sp_true, t)
             try:
-                approx = mse_true_approx(model, config.sigma_true, t, method)
+                # mse_true_approx, on the study's workspace
+                approx = naive_true + _g3_at(sp_true, grad_s_at(sp_true, t), info_true)
             except ArithmeticError:
                 approx = None
             cells.append(
@@ -339,7 +361,7 @@ def run_study(config: McConfig) -> McReport:
                     relative_bias=rel_bias,
                     g3_data_mean=g3_mean,
                     g3_data_se=g3_se,
-                    analytic_naive=_g1_at(sp_true, t) + _g2_at(sp_true, t),
+                    analytic_naive=naive_true,
                     analytic_mse_approx=approx,
                 )
             )

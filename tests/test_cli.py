@@ -237,6 +237,8 @@ def test_simulate_preset_outputs_and_determinism(tmp_path, capsys, monkeypatch):
     payload = json.loads(open(out1 + ".json").read())
     assert payload["report"]["replicates"] == 8
     assert payload["report"]["n_used"] == 8
+    for diag in payload["report"]["diagnostics"]:
+        assert 0 <= diag["n_not_converged"] <= 8
     assert payload["config_echo"] == {"preset": "harville-jeske-balanced"}
 
 

@@ -12,6 +12,7 @@ from eblup import (
     PredictionTarget,
     RankDeficientX,
     TooFewObservations,
+    BalancedDesign,
     ZeroBlock,
     area_target,
     assemble_sigma,
@@ -19,8 +20,10 @@ from eblup import (
     build_fay_herriot,
     build_nested_error,
     sigma_derivative,
+    to_model,
     validate_sigma,
 )
+from eblup._linalg import SigmaPoint
 
 from support import MAKERS, rng
 
@@ -151,6 +154,31 @@ def test_sigma_derivative_matches_dense_route(name):
         assert np.allclose(got, want, rtol=0, atol=1e-12)
     with pytest.raises(IndexOutOfRange):
         sigma_derivative(model, model.s)
+
+
+def _crossed_model():
+    design = BalancedDesign(
+        levels=(3, 4, 2), effects=((0, 1, 1), (1, 0, 1), (0, 0, 1)), s_index=(1, 1, 1)
+    )
+    return to_model(design)
+
+
+@pytest.mark.parametrize("name", sorted(MAKERS) + ["kron"])
+def test_sigma_and_g_match_the_dense_formulas(name):
+    # D + sum_i sigma_i V_i against R(sigma) + Z G(sigma) Z', the dense formula
+    gen = rng(31)
+    model = _crossed_model() if name == "kron" else MAKERS[name](gen)[0]
+    fam = model.family
+    interior = gen.uniform(0.3, 2.0, size=model.s)
+    with_zero = interior.copy()
+    with_zero[-1] = 0.0  # a random-effect component, so Sigma stays pd
+    for sigma in (interior, with_zero):
+        want = fam.r_matrix(sigma) + model.Z @ fam.g_matrix(sigma) @ model.Z.T
+        sp = SigmaPoint(model, sigma)
+        np.testing.assert_allclose(sp.sigma_mat, want, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(assemble_sigma(model, sigma), want, rtol=0, atol=1e-12)
+        # G is diagonal, so the workspace keeps only its diagonal
+        np.testing.assert_array_equal(np.diag(sp.g_diag), fam.g_matrix(sigma))
 
 
 def test_v_mats_sum_reconstructs_sigma():

@@ -13,12 +13,15 @@ import numpy as np
 import pytest
 
 from eblup import (
+    MixedModel,
     WARN_BOUNDARY,
     WARN_SINGULAR_INFORMATION,
     area_target,
     build_fay_herriot,
+    blup,
     delta_terms,
     dg1_dsigma,
+    eblup,
     fit,
     g1,
     g2,
@@ -30,6 +33,7 @@ from eblup import (
     mse_true_approx,
 )
 
+from eblup import _linalg
 from support import MAKERS, dense_proj, fd_grad, rng
 
 
@@ -216,6 +220,50 @@ def test_report_assembly_identities(method):
         assert rep.second_order == rep.prasad_rao - rep.g10
     assert rep.method == method
     assert rep.g3_data >= 0.0
+
+
+@pytest.mark.parametrize("method", ["REML", "ML"])
+def test_fit_workspace_serves_eblup_and_mse(method, monkeypatch):
+    gen = rng(563)
+    model, y, _ = MAKERS["nested-error"](gen, t=9)
+    res = fit(model, y, method)
+    tgt = area_target(model, 4)
+    sigma = res.sigma_hat
+
+    calls = []
+    cho_factor = _linalg.sla.cho_factor
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return cho_factor(*args, **kwargs)
+
+    monkeypatch.setattr(_linalg.sla, "cho_factor", counting)
+    pred = eblup(model, res, y, tgt)
+    rep = mse_estimators(model, res, y, tgt, data_specific=True)
+    assert calls == []  # everything ran on the fit's factorization
+    monkeypatch.undo()
+
+    want = {
+        "g1": g1(model, sigma, tgt),
+        "g2": g2(model, sigma, tgt),
+        "g3": g3(model, sigma, tgt, method),
+        "g3_data": g3_data(model, sigma, y, tgt, method),
+        "g10": g10(model, sigma, tgt) if method == "ML" else None,
+    }
+    for name, value in want.items():
+        if value is None:
+            assert getattr(rep, name) is None
+        else:
+            assert getattr(rep, name) == pytest.approx(value, rel=1e-12, abs=0.0)
+    assert pred.value == pytest.approx(blup(model, sigma, y, tgt).value, rel=1e-12)
+
+    # a model object the fit did not see gets a workspace of its own
+    twin = MixedModel(X=model.X, Z=model.Z, family=model.family)
+    rep_twin = mse_estimators(twin, res, y, tgt, data_specific=True)
+    for name in ("g1", "g2", "g3", "g3_data", "g10", "second_order"):
+        a, b = getattr(rep, name), getattr(rep_twin, name)
+        assert a == b or a == pytest.approx(b, rel=1e-12, abs=0.0)
+    assert eblup(twin, res, y, tgt).value == pytest.approx(pred.value, rel=1e-12)
 
 
 def test_data_specific_field_off_by_default():

@@ -1,5 +1,7 @@
 """Monte Carlo engine: reproducibility, aggregation, and moment diagnostics."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -208,7 +210,46 @@ def test_thread_count_respects_environment(monkeypatch):
     assert _thread_count(100) == 2
     assert _thread_count(1) == 1
     monkeypatch.delenv("EBLUP_THREADS")
-    assert _thread_count(3) <= 3
+    assert _thread_count(100) == 1  # serial unless asked for workers
+    monkeypatch.setenv("EBLUP_THREADS", "")
+    assert _thread_count(100) == 1
+
+
+def test_non_converged_fits_are_counted_not_dropped(monkeypatch):
+    gen = rng(741)
+    model = small_fh(gen, t=8)
+    config = McConfig(
+        model=model,
+        sigma_true=[1.0],
+        beta_true=[0.0],
+        targets=(area_target(model, 1),),
+        methods=("REML", "ML"),
+        replicates=12,
+        base_seed=11,
+    )
+    baseline = run_study(config)
+    flagged = {2, 5, 9}
+    ys = [
+        simulate_dataset(model, config.sigma_true, config.beta_true, config.base_seed + r)
+        for r in flagged
+    ]
+    real_fit = simulation_mod.fit
+
+    def fit_flagging_some(model, y, method="REML", **kwargs):
+        res = real_fit(model, y, method=method, **kwargs)
+        if method == "ML" and any(np.array_equal(y, yf) for yf in ys):
+            return dataclasses.replace(res, converged=False)
+        return res
+
+    monkeypatch.setattr(simulation_mod, "fit", fit_flagging_some)
+    for threads in ("1", "4"):
+        monkeypatch.setenv("EBLUP_THREADS", threads)
+        report = run_study(config)
+        counts = {d.method: d.n_not_converged for d in report.diagnostics}
+        assert counts == {"REML": 0, "ML": len(flagged)}
+        # the flagged fits stay in every aggregate
+        assert report.n_used == config.replicates
+        assert [cell_key(c) for c in report.cells] == [cell_key(c) for c in baseline.cells]
 
 
 def test_widespread_failures_abort(monkeypatch):
