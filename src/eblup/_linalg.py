@@ -40,8 +40,8 @@ class SigmaPoint:
 
     @cached_property
     def g_diag(self) -> np.ndarray:
-        """Diagonal of G(sigma) = sum_i sigma_i dG/dsigma_i."""
-        return sum(value * d for value, d in zip(self.sigma, self.model.dg_diags))
+        """Diagonal of G(sigma)."""
+        return self.model.family.g_diag(self.sigma)
 
     @cached_property
     def _cho(self):

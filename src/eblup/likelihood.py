@@ -48,16 +48,6 @@ def as_method(method: str) -> str:
 
 
 @dataclass(frozen=True, eq=False)
-class DerivativeBundle:
-    """Score vector, Hessian, and optional third-derivative array at sigma."""
-
-    score: np.ndarray
-    hessian: np.ndarray
-    third: np.ndarray | None
-    method: str
-
-
-@dataclass(frozen=True, eq=False)
 class InformationMatrix:
     """Expected Hessian A of the chosen criterion; -A is the Fisher information."""
 
@@ -204,19 +194,14 @@ def ml_score_bias_at(sp: SigmaPoint) -> np.ndarray:
 
 
 def effective_dims_at(sp: SigmaPoint) -> np.ndarray:
-    """d_i = Frobenius norm of Z_i' P Z_i, with Z_0 = I for residual terms."""
-    model = sp.model
-    fam = model.family
+    """d_i = Frobenius norm of Z_i' P Z_i, with Z_0 = I for the residual."""
     P = sp.proj
-    out = np.empty(model.s)
-    for i in range(model.s):
-        if np.any(fam.dr_matrix(i)):
-            out[i] = np.linalg.norm(P)
-        else:
-            cols = np.diag(fam.dg_matrix(i)) > 0
-            zi = model.Z[:, cols]
-            out[i] = np.linalg.norm(zi.T @ P @ zi)
-    return out
+    fam = sp.model.family
+    out = [np.linalg.norm(P)] if fam.residual else []
+    for cols in fam.block_slices:
+        zk = sp.model.Z[:, cols]
+        out.append(np.linalg.norm(zk.T @ P @ zk))
+    return np.array(out)
 
 
 # --------------------------------------------------------------------------
@@ -272,19 +257,6 @@ def third_derivatives(model: MixedModel, sigma, y, method: str = "REML") -> np.n
     """
     m = as_method(method)
     return third_derivatives_at(SigmaPoint(model, sigma), np.asarray(y, dtype=float), m)
-
-
-def derivative_bundle(
-    model: MixedModel, sigma, y, method: str = "REML", include_third: bool = False
-) -> DerivativeBundle:
-    """Score, Hessian, and optionally the third derivatives in one pass."""
-    m = as_method(method)
-    sp = SigmaPoint(model, sigma)
-    y = np.asarray(y, dtype=float)
-    third = third_derivatives_at(sp, y, m) if include_third else None
-    return DerivativeBundle(
-        score=score_at(sp, y, m), hessian=hessian_at(sp, y, m), third=third, method=m
-    )
 
 
 def expected_information(model: MixedModel, sigma, method: str = "REML") -> InformationMatrix:

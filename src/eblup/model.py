@@ -1,15 +1,19 @@
 """Model containers for the linear mixed model y = X b + Z v + e.
 
 The observation covariance is Sigma(sigma) = R(sigma) + Z G(sigma) Z' where
-v ~ N(0, G) and e ~ N(0, R) are independent.  Three covariance families are
-supported, each linear in its variance parameters sigma:
+v ~ N(0, G) and e ~ N(0, R) are independent.  G and R are diagonal and linear
+in sigma, so one description, ``VarianceComponents``, covers every model:
 
-* ``AnovaVC``: q random blocks, R = sigma_0 I_n, G = blockdiag(sigma_i I_{r_i}),
-  so Sigma = sum_i sigma_i V_i with V_0 = I_n and V_i = Z_i Z_i'.
-* ``FayHerriot``: area-level model with Z = I_t, G = sigma I_t and known
-  sampling variances R = diag(phi_1, ..., phi_t).
-* ``NestedError``: random intercept per group, R = sigma_0 I_n, G = sigma_1 I_t,
-  Z the group indicator matrix; Sigma is block diagonal with blocks
+    Sigma(sigma) = diag(d) + sum_i sigma_i V_i,
+
+with a known diagonal d, V_0 = I_n when sigma_0 is a residual variance, and
+V_k = Z_k Z_k' for the k-th block of columns of Z.  The builders fill it in:
+
+* ``build_anova``: q random blocks plus a residual, d = 0.
+* ``build_fay_herriot``: one block Z = I_t and no residual; d = phi holds the
+  known sampling variances, so Sigma = sigma I_t + diag(phi).
+* ``build_nested_error``: the one-block ANOVA model with Z the group
+  indicator matrix; Sigma is block diagonal with blocks
   sigma_0 I_{n_i} + sigma_1 J_{n_i}.
 
 Models are immutable; all numeric work happens in pure functions that take the
@@ -18,7 +22,7 @@ model plus a parameter point.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -41,137 +45,51 @@ BOUNDARY_TOL = 1e-12
 
 
 # --------------------------------------------------------------------------
-# covariance families
+# covariance description
 # --------------------------------------------------------------------------
 
 
 @dataclass(frozen=True, eq=False)
-class AnovaVC:
-    """Variance-component family with q random blocks plus residual noise.
+class VarianceComponents:
+    """Sigma(sigma) = diag(d) + sum_i sigma_i V_i, with G and R diagonal.
 
-    sigma = (sigma_0, sigma_1, ..., sigma_q); sigma_0 scales I_n and sigma_i
-    scales block i of G.  All components live on [0, inf); Sigma is positive
-    definite only when sigma_0 > 0.
+    ``d`` is the known diagonal of R (phi for Fay-Herriot, zeros otherwise).
+    When ``residual`` is true, sigma_0 scales I_n.  Each following component
+    owns the next ``block_dims[k]`` columns Z_k of Z, scales them in G, and
+    has V = Z_k Z_k'.  All components live on [0, inf).
     """
 
-    n_obs: int
+    d: np.ndarray
+    residual: bool
     block_dims: tuple[int, ...]
 
-    @property
-    def kind(self) -> str:
-        return "anova-vc"
-
-    @property
-    def s(self) -> int:
-        return len(self.block_dims) + 1
-
-    @property
-    def n_effects(self) -> int:
-        return sum(self.block_dims)
-
-    def g_matrix(self, sigma: np.ndarray) -> np.ndarray:
-        return np.diag(np.repeat(sigma[1:], self.block_dims))
-
-    def r_matrix(self, sigma: np.ndarray) -> np.ndarray:
-        return sigma[0] * np.eye(self.n_obs)
-
-    def dg_matrix(self, i: int) -> np.ndarray:
-        d = np.zeros(self.n_effects)
-        if i > 0:
-            off = sum(self.block_dims[: i - 1])
-            d[off : off + self.block_dims[i - 1]] = 1.0
-        return np.diag(d)
-
-    def dr_matrix(self, i: int) -> np.ndarray:
-        if i == 0:
-            return np.eye(self.n_obs)
-        return np.zeros((self.n_obs, self.n_obs))
-
-
-@dataclass(frozen=True, eq=False)
-class FayHerriot:
-    """Area-level family: one observation per area, known sampling variances.
-
-    Sigma = sigma I_t + diag(phi) with a single free parameter sigma >= 0.
-    """
-
-    phi: np.ndarray
-
     def __post_init__(self):
-        phi = np.array(self.phi, dtype=float)
-        phi.setflags(write=False)
-        object.__setattr__(self, "phi", phi)
-
-    @property
-    def kind(self) -> str:
-        return "fay-herriot"
+        d = np.array(self.d, dtype=float)
+        d.setflags(write=False)
+        object.__setattr__(self, "d", d)
+        object.__setattr__(self, "block_dims", tuple(int(k) for k in self.block_dims))
 
     @property
     def s(self) -> int:
-        return 1
+        return int(self.residual) + len(self.block_dims)
 
     @property
-    def n_effects(self) -> int:
-        return self.phi.shape[0]
+    def block_slices(self) -> tuple[slice, ...]:
+        """The columns of Z that each random-effect block owns."""
+        ends = np.cumsum((0,) + self.block_dims)
+        return tuple(slice(int(a), int(b)) for a, b in zip(ends[:-1], ends[1:]))
+
+    def g_diag(self, sigma: np.ndarray) -> np.ndarray:
+        """Diagonal of G(sigma): each block's variance repeated over its columns."""
+        return np.repeat(sigma[int(self.residual) :], self.block_dims)
+
+    def r_diag(self, sigma: np.ndarray) -> np.ndarray:
+        """Diagonal of R(sigma) = diag(d) + sigma_0 I_n when there is a residual."""
+        return self.d + sigma[0] if self.residual else self.d
 
     def g_matrix(self, sigma: np.ndarray) -> np.ndarray:
-        return sigma[0] * np.eye(self.n_effects)
-
-    def r_matrix(self, sigma: np.ndarray) -> np.ndarray:
-        return np.diag(self.phi)
-
-    def dg_matrix(self, i: int) -> np.ndarray:
-        return np.eye(self.n_effects)
-
-    def dr_matrix(self, i: int) -> np.ndarray:
-        t = self.n_effects
-        return np.zeros((t, t))
-
-
-@dataclass(frozen=True, eq=False)
-class NestedError:
-    """Random-intercept family: sigma = (sigma_0, sigma_1).
-
-    sigma_0 is the residual variance, sigma_1 the between-group variance.
-    Sigma is block diagonal with blocks sigma_0 I_{n_i} + sigma_1 J_{n_i}.
-    """
-
-    group_sizes: tuple[int, ...]
-
-    @property
-    def kind(self) -> str:
-        return "nested-error"
-
-    @property
-    def s(self) -> int:
-        return 2
-
-    @property
-    def n_effects(self) -> int:
-        return len(self.group_sizes)
-
-    @property
-    def n_obs(self) -> int:
-        return sum(self.group_sizes)
-
-    def g_matrix(self, sigma: np.ndarray) -> np.ndarray:
-        return sigma[1] * np.eye(self.n_effects)
-
-    def r_matrix(self, sigma: np.ndarray) -> np.ndarray:
-        return sigma[0] * np.eye(self.n_obs)
-
-    def dg_matrix(self, i: int) -> np.ndarray:
-        if i == 1:
-            return np.eye(self.n_effects)
-        return np.zeros((self.n_effects, self.n_effects))
-
-    def dr_matrix(self, i: int) -> np.ndarray:
-        if i == 0:
-            return np.eye(self.n_obs)
-        return np.zeros((self.n_obs, self.n_obs))
-
-
-CovarianceFamily = AnovaVC | FayHerriot | NestedError
+        """The dense G(sigma), for checks against the textbook formulas."""
+        return np.diag(self.g_diag(sigma))
 
 
 # --------------------------------------------------------------------------
@@ -215,11 +133,11 @@ class SigmaVector:
 
 @dataclass(frozen=True, eq=False)
 class MixedModel:
-    """Immutable design container: X (n x p), Z (n x r) and the family."""
+    """Immutable design container: X (n x p), Z (n x r) and the covariance."""
 
     X: np.ndarray
     Z: np.ndarray
-    family: CovarianceFamily
+    family: VarianceComponents
     obs_labels: tuple[str, ...] | None = None
     effect_labels: tuple[str, ...] | None = None
 
@@ -250,27 +168,30 @@ class MixedModel:
     @cached_property
     def v_mats(self) -> tuple[np.ndarray, ...]:
         """The constant derivative matrices V_i = d Sigma / d sigma_i."""
-        mats = []
-        for i in range(self.family.s):
-            v = self.family.dr_matrix(i) + self.Z @ self.family.dg_matrix(i) @ self.Z.T
+        mats = [np.eye(self.n)] if self.family.residual else []
+        for dg in self.dg_diags[int(self.family.residual) :]:
+            # Z_k Z_k' as Z diag(dG_k) Z', which rounds like the dense Z G Z'
+            v = (self.Z * dg) @ self.Z.T
             # exactly symmetric, so every sum of the V_i is too
-            v = 0.5 * (v + v.T)
+            mats.append(0.5 * (v + v.T))
+        for v in mats:
             v.setflags(write=False)
-            mats.append(v)
         return tuple(mats)
 
     @cached_property
     def dg_diags(self) -> tuple[np.ndarray, ...]:
         """Diagonals of the constant dG / d sigma_i.
 
-        Every family's G is diagonal and linear in sigma, so G(sigma) m is
-        an elementwise product and needs no r x r matrix.
+        G is diagonal and linear in sigma, so G(sigma) m is an elementwise
+        product and needs no r x r matrix.
         """
-        diags = []
-        for i in range(self.family.s):
-            d = np.diagonal(self.family.dg_matrix(i)).copy()
-            d.setflags(write=False)
+        diags = [np.zeros(self.r)] if self.family.residual else []
+        for cols in self.family.block_slices:
+            d = np.zeros(self.r)
+            d[cols] = 1.0
             diags.append(d)
+        for d in diags:
+            d.setflags(write=False)
         return tuple(diags)
 
 
@@ -323,7 +244,7 @@ def build_fay_herriot(y, phi, X, area_labels=None) -> MixedModel:
     return MixedModel(
         X=X,
         Z=np.eye(t),
-        family=FayHerriot(phi=phi),
+        family=VarianceComponents(d=phi, residual=False, block_dims=(t,)),
         obs_labels=labels,
         effect_labels=labels,
     )
@@ -354,11 +275,10 @@ def build_nested_error(y, groups, X, n_groups: int | None = None) -> MixedModel:
     t = len(labels)
     Z = np.zeros((n, t))
     Z[np.arange(n), idx] = 1.0
-    sizes = tuple(int(c) for c in Z.sum(axis=0))
     return MixedModel(
         X=X,
         Z=Z,
-        family=NestedError(group_sizes=sizes),
+        family=VarianceComponents(d=np.zeros(n), residual=True, block_dims=(t,)),
         effect_labels=tuple(str(g) for g in labels),
     )
 
@@ -388,7 +308,8 @@ def build_anova(X, Z_blocks) -> MixedModel:
     if not blocks:
         raise ValueError("at least one random-effect block is required")
     Z = np.hstack(blocks)
-    return MixedModel(X=X, Z=Z, family=AnovaVC(n_obs=n, block_dims=tuple(dims)))
+    family = VarianceComponents(d=np.zeros(n), residual=True, block_dims=tuple(dims))
+    return MixedModel(X=X, Z=Z, family=family)
 
 
 # --------------------------------------------------------------------------
@@ -426,13 +347,13 @@ def sigma_as_array(model: MixedModel, sigma) -> np.ndarray:
 
 
 def sigma_matrix(model: MixedModel, values: np.ndarray) -> np.ndarray:
-    """Sigma(sigma) = D + sum_i sigma_i V_i for a validated sigma array.
+    """Sigma(sigma) = diag(d) + sum_i sigma_i V_i for a validated sigma array.
 
-    D = R(0) is the part of R that no component scales (diag(phi) for
-    Fay-Herriot, zero otherwise).  The sum costs O(s n^2), against O(n^3)
-    for the dense product Z G Z'.  Positive definiteness is not checked.
+    d is the part of R that no component scales (phi for Fay-Herriot, zero
+    otherwise).  The sum costs O(s n^2), against O(n^3) for the dense
+    product Z G Z'.  Positive definiteness is not checked.
     """
-    S = model.family.r_matrix(np.zeros(model.s))
+    S = np.diag(model.family.d)
     for value, v in zip(values, model.v_mats):
         S += value * v
     return S
@@ -451,13 +372,6 @@ def assemble_sigma(model: MixedModel, sigma) -> np.ndarray:
     except np.linalg.LinAlgError as err:
         raise NotPositiveDefinite(f"Sigma(sigma={values.tolist()}) is not positive definite") from err
     return S
-
-
-def sigma_derivative(model: MixedModel, i: int) -> np.ndarray:
-    """The constant matrix V_i = d Sigma / d sigma_i."""
-    if not 0 <= i < model.s:
-        raise IndexOutOfRange(f"component {i} outside 0..{model.s - 1}")
-    return model.v_mats[i]
 
 
 # --------------------------------------------------------------------------
@@ -491,20 +405,19 @@ def check_target(model: MixedModel, target: PredictionTarget) -> None:
 
 
 def area_target(model: MixedModel, i: int) -> PredictionTarget:
-    """Target for the mean of area/group i: l from X, m = e_i.
+    """Target for the mean of area/group i: m = e_i, l the mean of the X rows
+    that load on effect i (column i of Z nonzero).
 
-    FayHerriot: l is row i of X.  NestedError: l is the mean of the X rows
-    in group i.
+    For Fay-Herriot that is row i of X; for nested error, the mean of the X
+    rows in group i.  Raises EmptyGroup when no observation loads on effect i.
     """
-    fam = model.family
     if not 0 <= i < model.r:
         raise IndexOutOfRange(f"area {i} outside 0..{model.r - 1}")
+    rows = model.Z[:, i] != 0
+    if not np.any(rows):
+        raise EmptyGroup(f"no observation loads on effect {i}")
     m = np.zeros(model.r)
     m[i] = 1.0
-    if isinstance(fam, NestedError):
-        rows = model.Z[:, i] > 0
-        l = model.X[rows].mean(axis=0)
-    else:
-        l = model.X[i].copy()
+    l = model.X[rows].mean(axis=0)
     name = model.effect_labels[i] if model.effect_labels else str(i)
     return PredictionTarget(l=l, m=m, name=name)

@@ -3,8 +3,8 @@
 At known sigma the BLUP is t(sigma) = l' beta_tilde + s(sigma)'(y - X beta_tilde)
 with weights s(sigma) = Sigma^-1 Z G m and random-effect predictor
 v_tilde = G Z' Sigma^-1 (y - X beta_tilde).  The EBLUP plugs in a fitted
-sigma-hat.  The gradient of s in sigma is analytic: each family's G is linear
-in sigma with known derivative, so
+sigma-hat.  The gradient of s in sigma is analytic: G is linear in sigma
+with known derivative, so
 
     ds/dsigma_i = -Sigma^-1 V_i Sigma^-1 Z G m + Sigma^-1 Z (dG/dsigma_i) m.
 """
@@ -37,12 +37,6 @@ class BlupResult:
 def weights_at(sp: SigmaPoint, target: PredictionTarget) -> np.ndarray:
     """The weight vector s(sigma) = Sigma^-1 Z G m at the workspace's point."""
     return sp.solve(sp.model.Z @ (sp.g_diag * target.m))
-
-
-def blup_weights(model: MixedModel, sigma, target: PredictionTarget) -> np.ndarray:
-    """The weight vector s(sigma) = Sigma^-1 Z G m."""
-    check_target(model, target)
-    return weights_at(SigmaPoint(model, sigma), target)
 
 
 def blup_at(sp: SigmaPoint, y: np.ndarray, target: PredictionTarget) -> BlupResult:

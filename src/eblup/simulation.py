@@ -19,7 +19,7 @@ import numpy as np
 
 from ._linalg import SigmaPoint
 from .estimation import fit
-from .exceptions import NotPositiveDefinite, SimulationError
+from .exceptions import SimulationError
 from .likelihood import (
     InformationMatrix,
     as_method,
@@ -41,19 +41,6 @@ MAX_FAILURE_RATE = 0.01
 # --------------------------------------------------------------------------
 
 
-def _cov_factor(mat: np.ndarray, what: str) -> np.ndarray:
-    """A matrix L with L L' = mat; diagonal shortcut, Cholesky otherwise."""
-    diag = np.diagonal(mat)
-    if np.count_nonzero(mat - np.diag(diag)) == 0:
-        if np.any(diag < 0):
-            raise NotPositiveDefinite(f"{what} has negative diagonal entries")
-        return np.diag(np.sqrt(diag))
-    try:
-        return np.linalg.cholesky(mat)
-    except np.linalg.LinAlgError as err:
-        raise NotPositiveDefinite(f"{what} is not positive semidefinite") from err
-
-
 def _draw(model: MixedModel, sigma, beta, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """One (y, v) draw. v is needed by the study to score predictors."""
     values = sigma_as_array(model, sigma)
@@ -61,10 +48,9 @@ def _draw(model: MixedModel, sigma, beta, seed: int) -> tuple[np.ndarray, np.nda
     if beta.shape != (model.p,):
         raise ValueError(f"beta has shape {beta.shape}, expected ({model.p},)")
     rng = np.random.Generator(np.random.Philox(seed))
-    lg = _cov_factor(model.family.g_matrix(values), "G")
-    lr = _cov_factor(model.family.r_matrix(values), "R")
-    v = lg @ rng.standard_normal(model.r)
-    e = lr @ rng.standard_normal(model.n)
+    # G and R are diagonal, so their square roots scale the draws elementwise
+    v = np.sqrt(model.family.g_diag(values)) * rng.standard_normal(model.r)
+    e = np.sqrt(model.family.r_diag(values)) * rng.standard_normal(model.n)
     return model.X @ beta + model.Z @ v + e, v
 
 

@@ -26,6 +26,35 @@ class DenseAux:
     sigma_of: callable
     v_mats: list
     X: np.ndarray
+    # raw ingredients of R = diag(d) + sigma_0 I (when residual) and of
+    # G = blockdiag(sigma_k I), one Z block per random-effect component
+    z_blocks: list
+    d: np.ndarray
+    residual: bool
+
+
+def dense_r(aux, sigma):
+    """R(sigma) from the raw known diagonal and the residual flag."""
+    R = np.diag(aux.d)
+    return R + sigma[0] * np.eye(len(aux.d)) if aux.residual else R
+
+
+def dense_g(aux, sigma):
+    """G(sigma) = blockdiag(sigma_k I_{r_k}) from the raw Z blocks."""
+    own = sigma[1:] if aux.residual else sigma
+    return block_diag(*[v * np.eye(zb.shape[1]) for v, zb in zip(own, aux.z_blocks)])
+
+
+def dense_sigma(aux, sigma):
+    """The textbook Sigma = R + Z G Z' with Z = [Z_1 ... Z_q]."""
+    Z = np.hstack(aux.z_blocks)
+    return dense_r(aux, sigma) + Z @ dense_g(aux, sigma) @ Z.T
+
+
+def dense_effective_dims(aux, P):
+    """||P|| for the residual, then ||Z_k' P Z_k|| for each block."""
+    out = [np.linalg.norm(P)] if aux.residual else []
+    return np.array(out + [np.linalg.norm(zb.T @ P @ zb) for zb in aux.z_blocks])
 
 
 def make_fay_herriot(gen, t=10, p=2):
@@ -38,6 +67,9 @@ def make_fay_herriot(gen, t=10, p=2):
         sigma_of=lambda s: s[0] * np.eye(t) + np.diag(phi),
         v_mats=[np.eye(t)],
         X=X,
+        z_blocks=[np.eye(t)],
+        d=phi,
+        residual=False,
     )
     return model, y, aux
 
@@ -55,6 +87,9 @@ def make_nested_error(gen, t=7, p=2, max_size=4):
         sigma_of=lambda s: s[0] * np.eye(n) + s[1] * V1,
         v_mats=[np.eye(n), V1],
         X=X,
+        z_blocks=[block_diag(*[np.ones((k, 1)) for k in sizes])],
+        d=np.zeros(n),
+        residual=True,
     )
     return model, y, aux
 
@@ -74,6 +109,9 @@ def make_anova(gen, n=12, r1=3, r2=4):
         sigma_of=lambda s: s[0] * np.eye(n) + s[1] * V1 + s[2] * V2,
         v_mats=[np.eye(n), V1, V2],
         X=X,
+        z_blocks=[Z1, Z2],
+        d=np.zeros(n),
+        residual=True,
     )
     return model, y, aux
 

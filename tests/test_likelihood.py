@@ -11,7 +11,6 @@ import pytest
 from eblup import (
     SingularInformation,
     build_fay_herriot,
-    derivative_bundle,
     effective_dims,
     expected_information,
     hessian,
@@ -25,7 +24,15 @@ from eblup import (
 )
 from eblup.likelihood import as_method
 
-from support import MAKERS, dense_proj, fd_grad, fd_jacobian, loglik_dense, rng
+from support import (
+    MAKERS,
+    dense_effective_dims,
+    dense_proj,
+    fd_grad,
+    fd_jacobian,
+    loglik_dense,
+    rng,
+)
 
 
 def canonical_pair():
@@ -124,18 +131,6 @@ def test_canonical_derivative_values():
     info = expected_information(model, sigma)
     np.testing.assert_allclose(info.A, [[-0.125]], rtol=1e-12)
     assert info.fisher_solve(np.array([1.0])) == pytest.approx([8.0])
-
-
-def test_derivative_bundle_consistency():
-    gen = rng(233)
-    model, y, _ = MAKERS["anova"](gen)
-    sigma = np.array([1.0, 0.6, 0.9])
-    bundle = derivative_bundle(model, sigma, y, "ML", include_third=True)
-    np.testing.assert_allclose(bundle.score, score_ml(model, sigma, y))
-    np.testing.assert_allclose(bundle.hessian, hessian(model, sigma, y, "ML"))
-    np.testing.assert_allclose(bundle.third, third_derivatives(model, sigma, y, "ML"))
-    assert bundle.method == "ML"
-    assert derivative_bundle(model, sigma, y).third is None
 
 
 def test_as_method_normalizes_and_rejects():
@@ -267,12 +262,4 @@ def test_effective_dims_dense(name):
     P = dense_proj(aux.X, aux.sigma_of(sigma))
     d = effective_dims(model, sigma)
     assert d.shape == (model.s,)
-    fam = model.family
-    for i in range(model.s):
-        if np.any(fam.dr_matrix(i)):
-            want = np.linalg.norm(P)
-        else:
-            cols = np.diag(fam.dg_matrix(i)) > 0
-            zi = model.Z[:, cols]
-            want = np.linalg.norm(zi.T @ P @ zi)
-        assert d[i] == pytest.approx(want, rel=1e-10)
+    np.testing.assert_allclose(d, dense_effective_dims(aux, P), rtol=1e-10)

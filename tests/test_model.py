@@ -19,13 +19,13 @@ from eblup import (
     build_anova,
     build_fay_herriot,
     build_nested_error,
-    sigma_derivative,
     to_model,
     validate_sigma,
 )
 from eblup._linalg import SigmaPoint
+from eblup.kron import design_matrices
 
-from support import MAKERS, rng
+from support import MAKERS, DenseAux, dense_g, dense_sigma, rng
 
 
 # --- builders -------------------------------------------------------------
@@ -101,7 +101,7 @@ def test_builder_copies_input_arrays():
     X[0, 0] = 7.0
     phi[0] = 7.0
     assert model.X[0, 0] == 1.0
-    assert model.family.phi[0] == 1.0
+    assert model.family.d[0] == 1.0
 
 
 # --- sigma validation -----------------------------------------------------
@@ -147,38 +147,44 @@ def test_assemble_sigma_matches_dense_route(name):
 
 @pytest.mark.parametrize("name", sorted(MAKERS))
 def test_sigma_derivative_matches_dense_route(name):
+    # the model's V_i = d Sigma / d sigma_i against the raw-design route
     gen = rng(19)
     model, _, aux = MAKERS[name](gen)
-    for i, want in enumerate(aux.v_mats):
-        got = sigma_derivative(model, i)
+    assert len(model.v_mats) == len(aux.v_mats) == model.s
+    for got, want in zip(model.v_mats, aux.v_mats):
         assert np.allclose(got, want, rtol=0, atol=1e-12)
-    with pytest.raises(IndexOutOfRange):
-        sigma_derivative(model, model.s)
 
 
 def _crossed_model():
     design = BalancedDesign(
         levels=(3, 4, 2), effects=((0, 1, 1), (1, 0, 1), (0, 0, 1)), s_index=(1, 1, 1)
     )
-    return to_model(design)
+    X, blocks = design_matrices(design)
+    aux = DenseAux(
+        sigma_of=None, v_mats=None, X=X, z_blocks=blocks, d=np.zeros(design.n), residual=True
+    )
+    return to_model(design), aux
 
 
 @pytest.mark.parametrize("name", sorted(MAKERS) + ["kron"])
 def test_sigma_and_g_match_the_dense_formulas(name):
-    # D + sum_i sigma_i V_i against R(sigma) + Z G(sigma) Z', the dense formula
+    # D + sum_i sigma_i V_i against R(sigma) + Z G(sigma) Z' from the raw blocks
     gen = rng(31)
-    model = _crossed_model() if name == "kron" else MAKERS[name](gen)[0]
-    fam = model.family
+    if name == "kron":
+        model, aux = _crossed_model()
+    else:
+        model, _, aux = MAKERS[name](gen)
     interior = gen.uniform(0.3, 2.0, size=model.s)
     with_zero = interior.copy()
     with_zero[-1] = 0.0  # a random-effect component, so Sigma stays pd
     for sigma in (interior, with_zero):
-        want = fam.r_matrix(sigma) + model.Z @ fam.g_matrix(sigma) @ model.Z.T
+        want = dense_sigma(aux, sigma)
         sp = SigmaPoint(model, sigma)
         np.testing.assert_allclose(sp.sigma_mat, want, rtol=0, atol=1e-12)
         np.testing.assert_allclose(assemble_sigma(model, sigma), want, rtol=0, atol=1e-12)
         # G is diagonal, so the workspace keeps only its diagonal
-        np.testing.assert_array_equal(np.diag(sp.g_diag), fam.g_matrix(sigma))
+        np.testing.assert_array_equal(np.diag(sp.g_diag), dense_g(aux, sigma))
+        np.testing.assert_array_equal(model.family.g_matrix(sigma), dense_g(aux, sigma))
 
 
 def test_v_mats_sum_reconstructs_sigma():
@@ -203,6 +209,27 @@ def test_area_target_picks_unit_rows():
     assert np.allclose(tgt.l, model.X[2])
     with pytest.raises(IndexOutOfRange):
         area_target(model, 5)
+    # nested error: l is the mean of the X rows in the group
+    X = np.column_stack([np.ones(6), np.arange(6.0)])
+    model = build_nested_error(np.zeros(6), [0, 0, 1, 2, 2, 2], X)
+    np.testing.assert_array_equal(area_target(model, 0).l, [1.0, 0.5])
+    np.testing.assert_array_equal(area_target(model, 2).l, [1.0, 4.0])
+    # build_anova with more effects than observations: the second block's
+    # column 5 loads on rows 1 and 3, the first block's column 1 on row 1
+    Z1 = np.eye(4)
+    Z2 = np.array([[1.0, 0, 0], [0, 1, 0], [1, 0, 0], [0, 1, 0]])
+    X4 = np.column_stack([np.ones(4), [0.0, 2.0, 4.0, 6.0]])
+    model = build_anova(X4, [Z1, Z2])
+    assert model.r == 7 > model.n
+    np.testing.assert_array_equal(area_target(model, 1).l, [1.0, 2.0])
+    tgt = area_target(model, 5)
+    np.testing.assert_array_equal(tgt.l, [1.0, 4.0])
+    assert tgt.m[5] == 1.0 and tgt.m.sum() == 1.0
+    # column 6 lies inside a nonzero block but no observation loads on it
+    with pytest.raises(EmptyGroup):
+        area_target(model, 6)
+    with pytest.raises(IndexOutOfRange):
+        area_target(model, 7)
 
 
 def test_prediction_target_is_frozen():

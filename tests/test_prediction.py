@@ -18,7 +18,6 @@ from eblup import (
     WARN_BOUNDARY,
     area_target,
     blup,
-    blup_weights,
     build_fay_herriot,
     eblup,
     fit,
@@ -26,6 +25,8 @@ from eblup import (
     gls_beta,
     observation_weights,
 )
+from eblup._linalg import SigmaPoint
+from eblup.prediction import weights_at
 
 from support import MAKERS, fd_jacobian, rng
 
@@ -71,7 +72,7 @@ def test_blup_weights_solve_sigma_system():
     model, _, aux = MAKERS["nested-error"](gen)
     sigma = np.array([0.9, 1.4])
     tgt = random_target(gen, model)
-    s = blup_weights(model, sigma, tgt)
+    s = weights_at(SigmaPoint(model, sigma), tgt)
     want = np.linalg.solve(aux.sigma_of(sigma), dense_zgm(model, sigma, tgt.m))
     np.testing.assert_allclose(s, want, atol=1e-10)
 
@@ -142,7 +143,7 @@ def test_grad_s_matches_finite_differences(name):
     tgt = random_target(gen, model)
     got = grad_s(model, sigma, tgt)
     assert got.shape == (model.n, model.s)
-    want = fd_jacobian(lambda s: blup_weights(model, s, tgt), sigma, h_rel=1e-6)
+    want = fd_jacobian(lambda s: weights_at(SigmaPoint(model, s), tgt), sigma, h_rel=1e-6)
     np.testing.assert_allclose(got, want, rtol=1e-5, atol=1e-7)
 
 

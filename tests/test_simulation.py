@@ -19,7 +19,7 @@ from eblup import (
 from eblup import simulation as simulation_mod
 from eblup.simulation import _draw, _thread_count
 
-from support import MAKERS, rng
+from support import MAKERS, dense_g, dense_r, rng
 
 
 def small_fh(gen, t=8):
@@ -57,6 +57,27 @@ def test_simulate_dataset_is_seed_deterministic():
     np.testing.assert_array_equal(a, b)
     c = simulate_dataset(model, sigma, beta, seed=43)
     assert np.any(a != c)
+
+
+@pytest.mark.parametrize("case", ["fay-herriot", "nested-error", "zero-component"])
+def test_draw_equals_the_dense_factor_draw(case):
+    # y = X beta + Z (diag(sqrt g) z_v) + diag(sqrt r) z_e, with the dense
+    # factors built from the raw design and z_v, z_e taken in that order
+    # from the same Philox stream
+    gen = rng(719)
+    model, _, aux = MAKERS["anova" if case == "zero-component" else case](gen)
+    sigma = gen.uniform(0.5, 1.5, size=model.s)
+    if case == "zero-component":
+        sigma[1] = 0.0
+    beta = gen.normal(size=model.p)
+    lg = np.diag(np.sqrt(np.diag(dense_g(aux, sigma))))
+    lr = np.diag(np.sqrt(np.diag(dense_r(aux, sigma))))
+    for seed in (0, 11, 2**40):
+        stream = np.random.Generator(np.random.Philox(seed))
+        v = lg @ stream.standard_normal(model.r)
+        e = lr @ stream.standard_normal(model.n)
+        want = aux.X @ beta + np.hstack(aux.z_blocks) @ v + e
+        assert np.array_equal(simulate_dataset(model, sigma, beta, seed), want)
 
 
 def test_draw_returns_matching_effects():

@@ -1,0 +1,83 @@
+"""The one covariance description against the textbook dense formulas.
+
+Random small designs are drawn with hypothesis: Fay-Herriot with random phi,
+nested error, and one to three ANOVA blocks of one-hot columns that may carry
+real-valued entries, at a sigma that may have a random-effect component at
+zero.  Sigma, V_i, G and the effective dimensions are rebuilt from the raw
+blocks (support.dense_*), never through the library's own assembly.
+"""
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from eblup import (
+    assemble_sigma,
+    build_anova,
+    build_fay_herriot,
+    build_nested_error,
+    effective_dims,
+)
+from eblup._linalg import SigmaPoint
+
+from support import DenseAux, dense_effective_dims, dense_g, dense_proj, dense_sigma, rng
+
+
+def _aux(X, blocks, d, residual):
+    return DenseAux(sigma_of=None, v_mats=None, X=X, z_blocks=blocks, d=d, residual=residual)
+
+
+@st.composite
+def designs(draw, kind):
+    n = draw(st.integers(4, 12))
+    gen = rng(draw(st.integers(0, 2**32 - 1)))
+    X = np.column_stack([np.ones(n), gen.normal(size=n)])
+    if kind == "fay-herriot":
+        phi = gen.uniform(0.2, 3.0, size=n)
+        model = build_fay_herriot(np.zeros(n), phi, X)
+        aux = _aux(X, [np.eye(n)], phi, residual=False)
+    elif kind == "nested-error":
+        t = draw(st.integers(1, n - 1))
+        labels = gen.permutation(np.arange(n) % t)
+        Z = np.zeros((n, t))
+        Z[np.arange(n), labels] = 1.0
+        model = build_nested_error(np.zeros(n), labels, X)
+        aux = _aux(X, [Z], np.zeros(n), residual=True)
+    else:
+        blocks = []
+        specs = draw(st.lists(st.tuples(st.integers(1, 5), st.booleans()), min_size=1, max_size=3))
+        for levels, real_valued in specs:
+            zb = np.zeros((n, levels))
+            zb[np.arange(n), gen.integers(0, levels, size=n)] = 1.0
+            if real_valued:
+                zb *= gen.uniform(0.3, 2.0, size=(n, 1))
+            blocks.append(zb)
+        model = build_anova(X, blocks)
+        aux = _aux(X, blocks, np.zeros(n), residual=True)
+    sigma = gen.uniform(0.2, 2.0, size=model.s)
+    zero = draw(st.none() | st.integers(int(aux.residual), model.s - 1))
+    if zero is not None:
+        sigma[zero] = 0.0
+    return model, aux, sigma
+
+
+@pytest.mark.parametrize("kind", ["fay-herriot", "nested-error", "anova"])
+@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@given(data=st.data())
+def test_description_matches_the_dense_formulas(kind, data):
+    model, aux, sigma = data.draw(designs(kind))
+    want = dense_sigma(aux, sigma)
+    np.testing.assert_allclose(assemble_sigma(model, sigma), want, rtol=0, atol=1e-12)
+    sp = SigmaPoint(model, sigma)
+    np.testing.assert_allclose(sp.sigma_mat, want, rtol=0, atol=1e-12)
+    np.testing.assert_array_equal(sp.g_diag, np.diag(dense_g(aux, sigma)))
+    v_want = [np.eye(model.n)] if aux.residual else []
+    v_want += [zb @ zb.T for zb in aux.z_blocks]
+    assert len(model.v_mats) == len(v_want) == model.s
+    for got, v in zip(model.v_mats, v_want):
+        np.testing.assert_allclose(got, v, rtol=0, atol=1e-12)
+    P = dense_proj(aux.X, want)
+    np.testing.assert_allclose(
+        effective_dims(model, sigma), dense_effective_dims(aux, P), rtol=1e-12, atol=1e-12
+    )
