@@ -284,11 +284,9 @@ def _load_targets(args, model: MixedModel) -> list[PredictionTarget]:
     name_i = _column(header, "name", args.targets)
     l_idx = [_column(header, f"l{j + 1}", args.targets) for j in range(model.p)]
     m_idx = [_column(header, f"m{j + 1}", args.targets) for j in range(model.r)]
-    out = []
-    for row in rows:
-        l = np.array([float(row[j]) for j in l_idx])
-        m = np.array([float(row[j]) for j in m_idx])
-        out.append(PredictionTarget(l=l, m=m, name=row[name_i].strip()))
+    L = np.column_stack([_floats(rows, j, args.targets) for j in l_idx])
+    M = np.column_stack([_floats(rows, j, args.targets) for j in m_idx])
+    out = [PredictionTarget(l=l, m=m, name=row[name_i].strip()) for l, m, row in zip(L, M, rows)]
     if not out:
         raise ValueError(f"{args.targets}: no target rows")
     return out

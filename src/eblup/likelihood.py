@@ -22,12 +22,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
 
 import numpy as np
 from scipy import linalg as sla
 
-from ._linalg import SigmaPoint
+from ._linalg import SigmaPoint, symmetrize3
 from .exceptions import SingularInformation
 from .model import MixedModel
 
@@ -107,101 +106,46 @@ def loglik_at(sp: SigmaPoint, y: np.ndarray, method: str) -> float:
     return profile_loglik_at(sp, y)
 
 
-def _trace_mats(sp: SigmaPoint, method: str) -> list[np.ndarray]:
-    """P V_i for REML, Sigma^-1 V_i for ML (the trace building blocks)."""
-    base = sp.proj if method == "REML" else sp.sigma_inv
-    return [base @ v for v in sp.model.v_mats]
-
-
 def score_at(sp: SigmaPoint, y: np.ndarray, method: str) -> np.ndarray:
     py = apply_p(sp, y)
-    base = sp.proj if method == "REML" else sp.sigma_inv
-    out = np.empty(sp.model.s)
-    for i, v in enumerate(sp.model.v_mats):
-        # tr(B V_i) = sum(B * V_i) for symmetric B, V_i
-        out[i] = 0.5 * (py @ v @ py - np.sum(base * v))
-    return out
+    quad = np.array([py @ v @ py for v in sp.model.v_mats])
+    return 0.5 * (quad - sp.traces(method)[0])
 
 
 def hessian_at(sp: SigmaPoint, y: np.ndarray, method: str) -> np.ndarray:
-    model = sp.model
-    s = model.s
     py = apply_p(sp, y)
-    w = [v @ py for v in model.v_mats]
+    w = [v @ py for v in sp.model.v_mats]
     pw = [apply_p(sp, wi) for wi in w]
-    bmats = _trace_mats(sp, method)
-    H = np.empty((s, s))
-    for i in range(s):
-        for j in range(i, s):
-            tr = np.sum(bmats[i] * bmats[j].T)
-            quad = w[i] @ pw[j]
-            H[i, j] = H[j, i] = 0.5 * tr - quad
+    quad = np.array([[wi @ pwj for pwj in pw] for wi in w])
+    H = 0.5 * sp.traces(method)[1] - quad
     return 0.5 * (H + H.T)
 
 
 def third_derivatives_at(sp: SigmaPoint, y: np.ndarray, method: str) -> np.ndarray:
-    model = sp.model
-    s = model.s
     py = apply_p(sp, y)
-    h = [apply_p(sp, v @ py) for v in model.v_mats]
-    vh = [[model.v_mats[j] @ h[k] for k in range(s)] for j in range(s)]
-    bmats = _trace_mats(sp, method)
-    prod = [[bmats[i] @ bmats[j] for j in range(s)] for i in range(s)]
-
-    def quad(i, j, k):
-        return h[i] @ vh[j][k]
-
-    def tr3(i, j, k):
-        return np.sum(prod[i][j] * bmats[k].T)
-
-    out = np.empty((s, s, s))
-    for i in range(s):
-        for j in range(s):
-            for k in range(s):
-                cyc = quad(i, j, k) + quad(j, k, i) + quad(k, i, j)
-                out[i, j, k] = cyc - 0.5 * (tr3(i, j, k) + tr3(i, k, j))
-    # exact formula is permutation symmetric; average out rounding asymmetry
-    sym = np.zeros_like(out)
-    for perm in permutations(range(3)):
-        sym += np.transpose(out, perm)
-    return sym / 6.0
+    h = [apply_p(sp, v @ py) for v in sp.model.v_mats]
+    # the three cyclic quadratic forms h_i'V_jh_k agree once symmetrized
+    quad = np.array([[[hi @ (v @ hk) for hk in h] for v in sp.model.v_mats] for hi in h])
+    return 3.0 * symmetrize3(quad) - sp.trace3(method)
 
 
 def information_at(sp: SigmaPoint, method: str) -> np.ndarray:
     """Expected Hessian A without the invertibility check."""
-    model = sp.model
-    s = model.s
-    pv = [sp.proj @ v for v in model.v_mats]
-    A = np.empty((s, s))
+    t2 = sp.traces("REML")[1]
     if method == "REML":
-        for i in range(s):
-            for j in range(i, s):
-                A[i, j] = A[j, i] = -0.5 * np.sum(pv[i] * pv[j].T)
-    else:
-        siv = [sp.sigma_inv @ v for v in model.v_mats]
-        ps = sp.proj @ sp.sigma_mat
-        for i in range(s):
-            for j in range(i, s):
-                t1 = 0.5 * np.sum(siv[i] * siv[j].T)
-                t2 = np.sum((pv[i] @ pv[j]) * ps.T)
-                A[i, j] = A[j, i] = t1 - t2
-    return 0.5 * (A + A.T)
+        return -0.5 * t2
+    # P Sigma P = P, so the ML term tr(PV_iPV_jP Sigma) is tr(PV_iPV_j)
+    return 0.5 * sp.traces("ML")[1] - t2
 
 
 def ml_score_bias_at(sp: SigmaPoint) -> np.ndarray:
-    diff = sp.sigma_inv - sp.proj
-    return np.array([0.5 * np.sum(diff * v) for v in sp.model.v_mats])
+    return 0.5 * (sp.traces("ML")[0] - sp.traces("REML")[0])
 
 
 def effective_dims_at(sp: SigmaPoint) -> np.ndarray:
-    """d_i = Frobenius norm of Z_i' P Z_i, with Z_0 = I for the residual."""
-    P = sp.proj
-    fam = sp.model.family
-    out = [np.linalg.norm(P)] if fam.residual else []
-    for cols in fam.block_slices:
-        zk = sp.model.Z[:, cols]
-        out.append(np.linalg.norm(zk.T @ P @ zk))
-    return np.array(out)
+    """d_i = ||Z_i'PZ_i||_F = sqrt(tr(PV_iPV_i)), as V_i = Z_iZ_i' (Z_0 = I)."""
+    # a zero trace (a one-level block beside an intercept) can round below 0
+    return np.sqrt(np.maximum(np.diag(sp.traces("REML")[1]), 0.0))
 
 
 # --------------------------------------------------------------------------
@@ -211,7 +155,7 @@ def effective_dims_at(sp: SigmaPoint) -> np.ndarray:
 
 def projection_p(model: MixedModel, sigma) -> np.ndarray:
     """The symmetric projection matrix P; satisfies PX = 0 and P Sigma P = P."""
-    return SigmaPoint(model, sigma).proj
+    return SigmaPoint(model, sigma).b_matrix("REML")
 
 
 def restricted_loglik(model: MixedModel, sigma, y) -> float:
@@ -264,8 +208,9 @@ def expected_information(model: MixedModel, sigma, method: str = "REML") -> Info
 
     REML: A(i,j) = -(1/2) tr(PV_iPV_j).  ML: the exact expectation of the
     profile Hessian, A(i,j) = (1/2)tr(S^-1 V_i S^-1 V_j) - tr(PV_iPV_jPS),
-    using E[u'Qu] = tr(Q Sigma).  Raises SingularInformation on degenerate
-    designs where -A has no Cholesky factor.
+    using E[u'Qu] = tr(Q Sigma); as PSP = P, the last trace is tr(PV_iPV_j).
+    Raises SingularInformation on degenerate designs where -A has no
+    Cholesky factor.
     """
     m = as_method(method)
     info = InformationMatrix(A=information_at(SigmaPoint(model, sigma), m), method=m)

@@ -148,6 +148,15 @@ class MixedModel:
         Z.setflags(write=False)
         object.__setattr__(self, "X", X)
         object.__setattr__(self, "Z", Z)
+        fam = self.family
+        if X.ndim != 2 or Z.ndim != 2 or X.shape[0] != Z.shape[0]:
+            raise ValueError(f"X {X.shape} and Z {Z.shape} must be matrices with equal rows")
+        if fam.d.shape != (X.shape[0],):
+            raise ValueError(f"family.d has shape {fam.d.shape}, expected ({X.shape[0]},)")
+        if min(fam.block_dims, default=1) < 1 or sum(fam.block_dims) != Z.shape[1]:
+            raise ValueError(
+                f"block_dims {fam.block_dims} must be positive and sum to Z's {Z.shape[1]} columns"
+            )
 
     @property
     def n(self) -> int:

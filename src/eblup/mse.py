@@ -21,9 +21,9 @@ import numpy as np
 
 from ._linalg import SigmaPoint
 from .estimation import FitResult
-from .likelihood import InformationMatrix, as_method, information_at, ml_score_bias_at
+from .likelihood import InformationMatrix, apply_p, as_method, information_at, ml_score_bias_at
 from .model import MixedModel, PredictionTarget, check_target
-from .prediction import WARN_BOUNDARY, grad_s_at, weights_at
+from .prediction import WARN_BOUNDARY, grad_s_rhs_at, weights_at
 
 WARN_SINGULAR_INFORMATION = "singular-information"
 
@@ -91,9 +91,9 @@ def g2(model: MixedModel, sigma, target: PredictionTarget) -> float:
     return _g2_at(SigmaPoint(model, sigma), target)
 
 
-def _g3_at(sp: SigmaPoint, grad: np.ndarray, info: InformationMatrix) -> float:
-    """g3 from the weight gradient ``grad = grad_s_at(sp, target)``."""
-    inner = grad.T @ sp.sigma_mat @ grad
+def _g3_at(sp: SigmaPoint, rhs: np.ndarray, info: InformationMatrix) -> float:
+    """g3 from rhs = Sigma grad s (``grad_s_rhs_at``): grad' Sigma grad = rhs' Sigma^-1 rhs."""
+    inner = rhs.T @ sp.solve(rhs)
     return max(float(np.sum(inner * info.fisher_inv)), 0.0)
 
 
@@ -103,15 +103,14 @@ def g3(model: MixedModel, sigma, target: PredictionTarget, method: str = "REML")
     method = as_method(method)
     sp = SigmaPoint(model, sigma)
     info = InformationMatrix(information_at(sp, method), method)
-    return _g3_at(sp, grad_s_at(sp, target), info)
+    return _g3_at(sp, grad_s_rhs_at(sp, target), info)
 
 
 def _g3_data_at(
-    sp: SigmaPoint, y: np.ndarray, grad: np.ndarray, info: InformationMatrix
+    sp: SigmaPoint, y: np.ndarray, rhs: np.ndarray, info: InformationMatrix
 ) -> float:
-    """g3_data from the weight gradient ``grad = grad_s_at(sp, target)``."""
-    resid = y - sp.model.X @ sp.gls(y)
-    a = grad.T @ resid
+    """g3_data from ``rhs = grad_s_rhs_at(sp, target)``: grad'(y - X beta) = rhs'Py."""
+    a = rhs.T @ apply_p(sp, y)
     return max(float(a @ info.fisher_solve(a)), 0.0)
 
 
@@ -128,7 +127,7 @@ def g3_data(
     y = np.asarray(y, dtype=float)
     sp = SigmaPoint(model, sigma)
     info = InformationMatrix(information_at(sp, method), method)
-    return _g3_data_at(sp, y, grad_s_at(sp, target), info)
+    return _g3_data_at(sp, y, grad_s_rhs_at(sp, target), info)
 
 
 def _g10_at(sp: SigmaPoint, target: PredictionTarget, info_ml: InformationMatrix) -> float:
@@ -201,9 +200,9 @@ def mse_estimators(
             warnings=warnings + (WARN_SINGULAR_INFORMATION,),
         )
 
-    grad = grad_s_at(sp, target)
-    g3v = _g3_at(sp, grad, info)
-    g3d = _g3_data_at(sp, y, grad, info) if data_specific else None
+    rhs = grad_s_rhs_at(sp, target)
+    g3v = _g3_at(sp, rhs, info)
+    g3d = _g3_data_at(sp, y, rhs, info) if data_specific else None
     pr = naive + 2.0 * g3v
     if fit.method == "ML":
         g10v = _g10_at(sp, target, info)
@@ -225,7 +224,7 @@ def mse_true_approx(
     method = as_method(method)
     sp = SigmaPoint(model, sigma_true)
     info = InformationMatrix(information_at(sp, method), method)
-    return _g1_at(sp, target) + _g2_at(sp, target) + _g3_at(sp, grad_s_at(sp, target), info)
+    return _g1_at(sp, target) + _g2_at(sp, target) + _g3_at(sp, grad_s_rhs_at(sp, target), info)
 
 
 # --------------------------------------------------------------------------
@@ -236,25 +235,9 @@ def mse_true_approx(
 def _w_vector(sp: SigmaPoint, info: InformationMatrix, method: str) -> np.ndarray:
     """w_i = -tr{A^-1 T_i} with T_i[j,k] = tr(B V_i B V_j B V_k).
 
-    B is P under REML and Sigma^-1 under ML.  Each T_i is symmetric
-    (transpose plus a cyclic shift), so summation order is free.
+    B is P under REML and Sigma^-1 under ML; A^-1 = -fisher^-1.
     """
-    if method == "REML":
-        B = sp.proj
-    else:
-        B = sp.sigma_inv
-    mats = [B @ v for v in sp.model.v_mats]
-    s = sp.model.s
-    w = np.empty(s)
-    for i in range(s):
-        T = np.empty((s, s))
-        for j in range(s):
-            left = mats[i] @ mats[j]
-            for k in range(s):
-                T[j, k] = np.sum(left * mats[k].T)
-        # A^-1 = -fisher^-1, so -tr(A^-1 T) = +sum(fisher_inv * T')
-        w[i] = np.sum(info.fisher_inv * T.T)
-    return w
+    return np.einsum("jk,ijk->i", info.fisher_inv, sp.trace3(method))
 
 
 def delta_terms(
@@ -273,7 +256,7 @@ def delta_terms(
     info = InformationMatrix(information_at(sp, method), method)
     b = _dg1_at(sp, target)
     w = _w_vector(sp, info, method)
-    g3v = _g3_at(sp, grad_s_at(sp, target), info)
+    g3v = _g3_at(sp, grad_s_rhs_at(sp, target), info)
     bw = -float(b @ info.fisher_solve(w))
     if method == "REML":
         d0, d1, d3 = 0.0, bw, -bw

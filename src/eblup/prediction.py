@@ -56,20 +56,20 @@ def blup(model: MixedModel, sigma, y, target: PredictionTarget) -> BlupResult:
     return blup_at(SigmaPoint(model, sigma), np.asarray(y, dtype=float), target)
 
 
-def grad_s_at(sp: SigmaPoint, target: PredictionTarget) -> np.ndarray:
-    """n x s gradient of the BLUP weights at the workspace's sigma."""
+def grad_s_rhs_at(sp: SigmaPoint, target: PredictionTarget) -> np.ndarray:
+    """Sigma times the weight gradient: column i is Z (dG/dsigma_i) m - V_i s."""
     model = sp.model
     sc = weights_at(sp, target)
-    rhs = np.column_stack(
+    return np.column_stack(
         [model.Z @ (d * target.m) - v @ sc for d, v in zip(model.dg_diags, model.v_mats)]
     )
-    return sp.solve(rhs)
 
 
 def grad_s(model: MixedModel, sigma, target: PredictionTarget) -> np.ndarray:
     """n x s gradient of the BLUP weights in sigma, column per component."""
     check_target(model, target)
-    return grad_s_at(SigmaPoint(model, sigma), target)
+    sp = SigmaPoint(model, sigma)
+    return sp.solve(grad_s_rhs_at(sp, target))
 
 
 def observation_weights(model: MixedModel, sigma, target: PredictionTarget) -> np.ndarray:

@@ -29,7 +29,7 @@ from .likelihood import (
 )
 from .model import BOUNDARY_TOL, MixedModel, PredictionTarget, sigma_as_array
 from .mse import _g1_at, _g2_at, _g3_at, mse_estimators
-from .prediction import blup_at, eblup, grad_s_at
+from .prediction import blup_at, eblup, grad_s_rhs_at
 
 ESTIMATORS = ("naive", "prasad_rao", "second_order", "data_specific")
 
@@ -331,7 +331,7 @@ def run_study(config: McConfig) -> McReport:
             naive_true = _g1_at(sp_true, t) + _g2_at(sp_true, t)
             try:
                 # mse_true_approx, on the study's workspace
-                approx = naive_true + _g3_at(sp_true, grad_s_at(sp_true, t), info_true)
+                approx = naive_true + _g3_at(sp_true, grad_s_rhs_at(sp_true, t), info_true)
             except ArithmeticError:
                 approx = None
             cells.append(

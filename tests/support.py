@@ -51,6 +51,24 @@ def dense_sigma(aux, sigma):
     return dense_r(aux, sigma) + Z @ dense_g(aux, sigma) @ Z.T
 
 
+def dense_v_mats(aux):
+    """V_i = dSigma/dsigma_i: I for the residual, then Z_k Z_k' per block."""
+    n = len(aux.d)
+    return ([np.eye(n)] if aux.residual else []) + [zb @ zb.T for zb in aux.z_blocks]
+
+
+def dense_traces(aux, sigma, method):
+    """t1[i] = tr(BV_i), t2[i,j] = tr(BV_iBV_j), t3[i,j,k] = tr(BV_iBV_jBV_k),
+    with B = P for REML and B = Sigma^-1 for ML, from explicit inverses."""
+    S = dense_sigma(aux, sigma)
+    B = dense_proj(aux.X, S) if method == "REML" else np.linalg.inv(S)
+    bv = [B @ v for v in dense_v_mats(aux)]
+    t1 = np.array([np.trace(a) for a in bv])
+    t2 = np.array([[np.trace(a @ b) for b in bv] for a in bv])
+    t3 = np.array([[[np.trace(a @ b @ c) for c in bv] for b in bv] for a in bv])
+    return t1, t2, t3
+
+
 def dense_effective_dims(aux, P):
     """||P|| for the residual, then ||Z_k' P Z_k|| for each block."""
     out = [np.linalg.norm(P)] if aux.residual else []

@@ -215,6 +215,16 @@ def test_mse_targets_file(tmp_path, capsys):
     assert report.targets[1]["mse"]["g1"] < report.targets[0]["mse"]["g1"]
 
 
+def test_mse_targets_file_short_row_is_input_error(tmp_path, capsys):
+    data = write(tmp_path, "fh.csv", CANONICAL_CSV)
+    targets = write(tmp_path, "targets.csv", "name,l1,m1,m2\nfirst,1.0,1.0,0.0\nshort,1.0,0.5\n")
+    argv = ["mse", "--family", "fay-herriot", "--data", data, "--targets", targets]
+    rc, out, err = run(capsys, argv)
+    assert rc == cli.EXIT_INPUT
+    assert out == ""
+    assert "row 3, column 4" in json.loads(err)["error"]["message"]
+
+
 # --- simulate -------------------------------------------------------------
 
 

@@ -13,6 +13,7 @@ from eblup import (
     RankDeficientX,
     TooFewObservations,
     BalancedDesign,
+    VarianceComponents,
     ZeroBlock,
     area_target,
     assemble_sigma,
@@ -102,6 +103,21 @@ def test_builder_copies_input_arrays():
     phi[0] = 7.0
     assert model.X[0, 0] == 1.0
     assert model.family.d[0] == 1.0
+
+
+@pytest.mark.parametrize(
+    "rows, d_len, block_dims, what",
+    [
+        (6, 4, (3,), "family.d"),  # d shorter than n
+        (6, 6, (2,), "block_dims"),  # blocks leave column 3 of Z uncovered
+        (6, 6, (3, 0), "block_dims"),  # an empty block
+        (5, 6, (3,), "equal rows"),  # Z has a row fewer than X
+    ],
+)
+def test_model_checks_its_covariance_against_x_and_z(rows, d_len, block_dims, what):
+    family = VarianceComponents(d=np.zeros(d_len), residual=True, block_dims=block_dims)
+    with pytest.raises(ValueError, match=what):
+        MixedModel(X=np.ones((6, 1)), Z=np.eye(6)[:rows, :3], family=family)
 
 
 # --- sigma validation -----------------------------------------------------

@@ -230,17 +230,33 @@ def test_fit_workspace_serves_eblup_and_mse(method, monkeypatch):
     tgt = area_target(model, 4)
     sigma = res.sigma_hat
 
-    calls = []
+    # a finished fit keeps no n x n matrix but Sigma and its Cholesky factor
+    kept = {
+        name
+        for name, value in vars(res.workspace).items()
+        for a in (value if isinstance(value, tuple) else (value,))
+        if np.shape(a) == (model.n, model.n)
+    }
+    assert kept <= {"sigma_mat", "_cho"}
+
+    calls, builds = [], []
     cho_factor = _linalg.sla.cho_factor
+    b_matrix = _linalg.SigmaPoint.b_matrix
 
     def counting(*args, **kwargs):
         calls.append(1)
         return cho_factor(*args, **kwargs)
 
+    def counting_b(self, method):
+        builds.append(method)
+        return b_matrix(self, method)
+
     monkeypatch.setattr(_linalg.sla, "cho_factor", counting)
+    monkeypatch.setattr(_linalg.SigmaPoint, "b_matrix", counting_b)
     pred = eblup(model, res, y, tgt)
     rep = mse_estimators(model, res, y, tgt, data_specific=True)
     assert calls == []  # everything ran on the fit's factorization
+    assert builds == []  # and on the traces the fit left on it
     monkeypatch.undo()
 
     want = {

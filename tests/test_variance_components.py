@@ -3,8 +3,9 @@
 Random small designs are drawn with hypothesis: Fay-Herriot with random phi,
 nested error, and one to three ANOVA blocks of one-hot columns that may carry
 real-valued entries, at a sigma that may have a random-effect component at
-zero.  Sigma, V_i, G and the effective dimensions are rebuilt from the raw
-blocks (support.dense_*), never through the library's own assembly.
+zero.  Sigma, V_i, G, the effective dimensions and the trace polynomials
+tr(BV_i), tr(BV_iBV_j), tr(BV_iBV_jBV_k) are rebuilt from the raw blocks
+(support.dense_*), never through the library's own assembly.
 """
 
 import numpy as np
@@ -21,7 +22,16 @@ from eblup import (
 )
 from eblup._linalg import SigmaPoint
 
-from support import DenseAux, dense_effective_dims, dense_g, dense_proj, dense_sigma, rng
+from support import (
+    DenseAux,
+    dense_effective_dims,
+    dense_g,
+    dense_proj,
+    dense_sigma,
+    dense_traces,
+    dense_v_mats,
+    rng,
+)
 
 
 def _aux(X, blocks, d, residual):
@@ -72,8 +82,7 @@ def test_description_matches_the_dense_formulas(kind, data):
     sp = SigmaPoint(model, sigma)
     np.testing.assert_allclose(sp.sigma_mat, want, rtol=0, atol=1e-12)
     np.testing.assert_array_equal(sp.g_diag, np.diag(dense_g(aux, sigma)))
-    v_want = [np.eye(model.n)] if aux.residual else []
-    v_want += [zb @ zb.T for zb in aux.z_blocks]
+    v_want = dense_v_mats(aux)
     assert len(model.v_mats) == len(v_want) == model.s
     for got, v in zip(model.v_mats, v_want):
         np.testing.assert_allclose(got, v, rtol=0, atol=1e-12)
@@ -81,3 +90,9 @@ def test_description_matches_the_dense_formulas(kind, data):
     np.testing.assert_allclose(
         effective_dims(model, sigma), dense_effective_dims(aux, P), rtol=1e-12, atol=1e-12
     )
+    for method in ("REML", "ML"):
+        t1, t2, t3 = dense_traces(aux, sigma, method)
+        got1, got2 = sp.traces(method)
+        np.testing.assert_allclose(got1, t1, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(got2, t2, rtol=1e-10, atol=1e-10)
+        np.testing.assert_allclose(sp.trace3(method), t3, rtol=1e-10, atol=1e-10)
