@@ -120,9 +120,7 @@ class SigmaPoint:
         return inv if method == "ML" else self._project(inv)
 
     def _project(self, inv: np.ndarray) -> np.ndarray:
-        # symmetrized on both sides: REML convergence flags hinge on this exact rounding
-        P = inv - self.six @ self.gram_solve(self.six.T)
-        return 0.5 * (P + P.T)
+        return inv - self.six @ self.gram_solve(self.six.T)
 
     def traces(self, method: str) -> tuple[np.ndarray, np.ndarray]:
         """(t1, t2) with t1[i] = tr(BV_i) and t2[i, j] = tr(BV_iBV_j).

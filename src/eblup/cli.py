@@ -3,8 +3,9 @@
 Subcommands: fit (variance components + GLS), mse (per-target EBLUP and MSE
 estimators), simulate (Monte Carlo study), check (self-diagnostics).  Reports
 go to stdout as JSON with sorted keys; errors go to stderr as a single JSON
-object.  Exit codes: 0 ok, 2 fit did not converge, 3 input error,
-4 singular information (naive-only MSE still emitted), 1 other failure.
+object.  Exit codes: 0 ok, 2 fit did not converge, 3 input error (a bad
+command line included), 4 singular information (naive-only MSE still
+emitted), 1 other failure.
 
 Data files:
     fay-herriot CSV     area,y,phi,x1..xp
@@ -293,23 +294,10 @@ def _load_targets(args, model: MixedModel) -> list[PredictionTarget]:
 
 
 def _fit_options(args) -> dict:
-    opts = {"max_iter": args.max_iter, "tol": args.tol, "clamp_eps": args.clamp_eps}
+    opts = {"max_iter": args.max_iter, "tol": args.tol}
     if args.start is not None:
         opts["start"] = [float(v) for v in args.start.split(",")]
     return opts
-
-
-def _run_fit(model: MixedModel, y: np.ndarray, method: str, opts: dict) -> FitResult:
-    start = opts.get("start")
-    return fit(
-        model,
-        y,
-        method=method,
-        start=None if start is None else np.asarray(start, dtype=float),
-        max_iter=opts["max_iter"],
-        tol=opts["tol"],
-        clamp_eps=opts["clamp_eps"],
-    )
 
 
 # --------------------------------------------------------------------------
@@ -321,7 +309,7 @@ def cmd_fit(args) -> int:
     method = as_method(args.method)
     model, y, echo = _load_family_data(args.family, args.data)
     opts = _fit_options(args)
-    res = _run_fit(model, y, method, opts)
+    res = fit(model, y, method, **opts)
     report = RunReport(
         command="fit",
         model=echo,
@@ -341,7 +329,7 @@ def cmd_mse(args) -> int:
     model, y, echo = _load_family_data(args.family, args.data)
     targets = _load_targets(args, model)
     opts = _fit_options(args)
-    res = _run_fit(model, y, method, opts)
+    res = fit(model, y, method, **opts)
     rows = []
     singular = False
     for t in targets:
@@ -710,11 +698,17 @@ def _add_model_args(p: argparse.ArgumentParser) -> None:
     p.add_argument("--start", default=None, help="comma-separated starting sigma")
     p.add_argument("--max-iter", type=int, default=100)
     p.add_argument("--tol", type=float, default=1e-8)
-    p.add_argument("--clamp-eps", type=float, default=0.0)
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises on a bad command line, so that main reports it as input error 3."""
+
+    def error(self, message):
+        raise ValueError(f"{self.prog}: {message}")
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="eblup",
         description="Mixed-model variance components, EBLUP, and MSE estimation.",
     )
@@ -755,9 +749,8 @@ def _error_json(err: Exception) -> str:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         return args.func(args)
     except SingularInformation as err:
         print(_error_json(err), file=sys.stderr)

@@ -1,12 +1,16 @@
-"""Variance-component estimation by Fisher scoring on the score equations.
+"""Variance-component estimation by projected Fisher scoring on sigma >= 0.
 
-The update direction is (-A)^-1 a where a is the REML or ML score and A the
-expected Hessian; step halving enforces a nondecreasing criterion, components
-pushed below zero are clamped to the boundary, and convergence uses the
-scaled score max_i |a_i| / (1 + d_i^2) with the effective dimensions d_i,
-since the components of sigma-hat converge at different rates.  A boundary
-component counts as converged when its score points outward (KKT sign
-condition a_i <= 0 at a lower bound).
+One loop, with an active set (Jennrich & Sampson 1976; Harville 1977): a
+component at zero whose score points outward (a_i <= 0) is held there, and
+the Fisher step (-A_FF)^-1 a_F is taken on the free components F, with A
+the expected Hessian.  Step halving along the step projected onto
+sigma >= 0 keeps the criterion nondecreasing.  Convergence is the KKT test
+on the scaled score max_i |a_i| / (1 + d_i^2), with the effective
+dimensions d_i, since the components of sigma-hat converge at different
+rates; at a zero component only a_i <= tol is required.  The fit stops as
+not converged when ``max_iter`` steps have been accepted.  When no step
+raises the criterion, the iterate counts as converged only if the predicted
+gain a'd is at most 1e-12 (1 + |loglik|), a rounding floor.
 """
 
 from __future__ import annotations
@@ -14,7 +18,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import linalg as sla
 
 from ._linalg import SigmaPoint
 from .exceptions import NotPositiveDefinite, SingularGram, SingularInformation
@@ -26,7 +29,7 @@ from .likelihood import (
     loglik_at,
     score_at,
 )
-from .model import BOUNDARY_TOL, MixedModel, SigmaVector, validate_sigma
+from .model import MixedModel, SigmaVector, validate_sigma
 
 MAX_HALVINGS = 30
 
@@ -90,22 +93,10 @@ def starting_values(model: MixedModel, y, method: str = "REML") -> np.ndarray:
 def _ascent_direction(A: np.ndarray, score: np.ndarray) -> np.ndarray:
     """(-A)^-1 score, degrading to the normalized score when -A is not pd."""
     try:
-        c = sla.cho_factor(-A, lower=True)
-        return sla.cho_solve(c, score)
+        np.linalg.cholesky(-A)
     except np.linalg.LinAlgError:
         return score / max(1.0, float(np.max(np.abs(score))))
-
-
-def _scaled_score(sp: SigmaPoint, y: np.ndarray, method: str):
-    """Score, scaled score and effective dimensions at the workspace's point."""
-    score = score_at(sp, y, method)
-    dims = effective_dims_at(sp)
-    return score, score / (1.0 + dims**2), dims
-
-
-def _kkt_ok(sigma: np.ndarray, scaled: np.ndarray, tol: float) -> bool:
-    at_lb = sigma <= BOUNDARY_TOL
-    return bool(np.all(np.where(at_lb, scaled <= tol, np.abs(scaled) <= tol)))
+    return np.linalg.solve(-A, score)
 
 
 def fit(
@@ -116,9 +107,18 @@ def fit(
     start=None,
     max_iter: int = 100,
     tol: float = 1e-8,
-    clamp_eps: float = 0.0,
 ) -> FitResult:
-    """Solve the score equations for sigma and assemble the fit summary.
+    """Maximize the REML or ML criterion over sigma >= 0 by Fisher scoring.
+
+    At each iterate the fit stops as converged when the KKT test on the
+    scaled score holds, and as not converged once ``max_iter`` steps have
+    been accepted.  Otherwise it holds every component with sigma_i = 0
+    and score_i <= 0, takes the Fisher step (-A_FF)^-1 a_F on the free
+    block F, and halves along it, projected onto sigma >= 0, until the
+    criterion does not fall.  When no step is accepted the fit stops, and
+    reports converged only if the predicted gain a'd of the full step d is
+    at most 1e-12 (1 + |loglik|): the iterate is then stationary to
+    rounding.
 
     Args:
         model: the mixed model.
@@ -126,66 +126,56 @@ def fit(
         method: "REML" or "ML".
         start: optional starting sigma; defaults to ``starting_values``.
         max_iter: maximum accepted Fisher-scoring steps.
-        tol: tolerance on the scaled score norm.
-        clamp_eps: lower clamp value for components driven below the
-            parameter space (0 clamps exactly to the boundary).
+        tol: tolerance on the scaled score.
 
     Returns:
-        FitResult; ``converged`` is false when the iteration stalls or the
-        budget runs out, and the best iterate found is still returned.
+        FitResult; when ``converged`` is false the last iterate is still
+        returned.
     """
     m = as_method(method)
     y = np.asarray(y, dtype=float)
     if start is None:
         start = starting_values(model, y, m)
-    sigma = validate_sigma(model, start).values.copy()
-
-    sp = SigmaPoint(model, sigma)
+    sp = SigmaPoint(model, start)
+    sigma = sp.sigma  # validated: components within BOUNDARY_TOL of 0 are 0
     ll = loglik_at(sp, y, m)  # NotPositiveDefinite at the start propagates
     trace = [ll]
     iterations = 0
-    converged = False
 
-    for _ in range(max_iter):
-        score, scaled, dims = _scaled_score(sp, y, m)
-        if _kkt_ok(sigma, scaled, tol):
-            converged = True
+    while True:
+        score = score_at(sp, y, m)
+        dims = effective_dims_at(sp)
+        scaled = score / (1.0 + dims**2)
+        at_zero = sigma == 0.0
+        kkt = np.where(at_zero, scaled <= tol, np.abs(scaled) <= tol)
+        converged = bool(np.all(kkt))
+        if converged or iterations >= max_iter:
             break
-        direction = _ascent_direction(information_at(sp, m), score)
-        step = 1.0
-        accepted = None
+        free = ~(at_zero & (score <= 0.0))
+        direction = np.zeros(model.s)
+        A_ff = information_at(sp, m)[np.ix_(free, free)]
+        direction[free] = _ascent_direction(A_ff, score[free])
+        step, accepted = 1.0, None
         for _ in range(MAX_HALVINGS + 1):
-            cand = np.maximum(sigma + step * direction, clamp_eps)
+            cand = np.maximum(sigma + step * direction, 0.0)
             if np.array_equal(cand, sigma):
                 break
             try:
                 sp_c = SigmaPoint(model, cand)
                 ll_c = loglik_at(sp_c, y, m)
             except (NotPositiveDefinite, SingularGram):
-                step *= 0.5
-                continue
+                ll_c = -np.inf
             if ll_c >= ll:
-                accepted = (sp_c, ll_c)
+                accepted = sp_c, ll_c
                 break
             step *= 0.5
         if accepted is None:
+            converged = float(score @ direction) <= 1e-12 * (1.0 + abs(ll))
             break
         sp, ll = accepted
-        sigma = sp.sigma.copy()
+        sigma = sp.sigma
         iterations += 1
         trace.append(ll)
-    else:
-        score, scaled, dims = _scaled_score(sp, y, m)
-        converged = _kkt_ok(sigma, scaled, tol)
-
-    promoted = False
-    if clamp_eps == 0.0:
-        sp, ll, promoted = _promote_boundary(model, y, m, sp, ll)
-    if promoted:
-        sigma = sp.sigma.copy()
-        trace.append(ll)
-        score, scaled, dims = _scaled_score(sp, y, m)
-        converged = _kkt_ok(sigma, scaled, tol)
 
     # score, scaled and dims are those of the final point sp
     sv = validate_sigma(model, sigma)
@@ -209,34 +199,3 @@ def fit(
         loglik_trace=tuple(trace),
         workspace=sp,
     )
-
-
-def _promote_boundary(model, y, method, sp, ll):
-    """Snap near-zero components to exactly zero when the boundary is the root.
-
-    An interior iteration approaching a boundary root stops at a tolerance-
-    sized positive value; each small component is tested at exactly zero and
-    kept there only if the criterion does not decrease and the KKT sign
-    condition holds.  Genuinely interior small components fail the criterion
-    test and are left alone.
-    """
-    sigma = sp.sigma.copy()
-    thresh = 1e-3 * (1.0 + float(np.sum(sigma)))
-    promoted = False
-    for i in range(model.s):
-        if not 0.0 < sigma[i] <= thresh:
-            continue
-        cand = sigma.copy()
-        cand[i] = 0.0
-        try:
-            sp_c = SigmaPoint(model, cand)
-            ll_c = loglik_at(sp_c, y, method)
-        except (NotPositiveDefinite, SingularGram):
-            continue
-        if ll_c < ll - 1e-12 * (1.0 + abs(ll)):
-            continue
-        if score_at(sp_c, y, method)[i] > BOUNDARY_TOL:
-            continue
-        sigma, sp, ll = cand, sp_c, ll_c
-        promoted = True
-    return sp, ll, promoted

@@ -88,6 +88,24 @@ def test_fit_budget_exhaustion_exit_code(tmp_path, capsys):
     assert report.fit["converged"] is False
 
 
+def test_bad_flags_are_input_errors(tmp_path, capsys):
+    data = write(tmp_path, "fh.csv", CANONICAL_CSV)
+    base = ["fit", "--family", "fay-herriot", "--data", data]
+    for extra, needle in (
+        (["--clamp-eps", "1e-6"], "--clamp-eps"),
+        (["--max-iter", "abc"], "--max-iter"),
+        (["--bogus"], "--bogus"),
+    ):
+        rc, out, err = run(capsys, base + extra)
+        assert rc == cli.EXIT_INPUT
+        assert out == ""
+        assert needle in json.loads(err)["error"]["message"]
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["fit", "--help"])
+    assert exc.value.code == 0
+    assert "--max-iter" in capsys.readouterr().out
+
+
 def test_missing_column_maps_to_input_error(tmp_path, capsys):
     data = write(tmp_path, "bad.csv", "area,y,x1\n1,1.0,1.0\n2,-1.0,1.0\n")
     rc, out, err = run(capsys, ["fit", "--family", "fay-herriot", "--data", data])

@@ -12,8 +12,10 @@ from eblup import (
     gls_beta,
     restricted_loglik,
     score_reml,
+    simulate_dataset,
     starting_values,
 )
+from eblup._linalg import SigmaPoint
 from eblup.likelihood import effective_dims
 
 from support import MAKERS, rng
@@ -151,14 +153,6 @@ def test_max_iter_budget_reports_nonconvergence():
     assert full.loglik >= res.loglik
 
 
-def test_clamp_eps_keeps_components_off_boundary():
-    model, y = canonical_pair()
-    res = fit(model, y, method="ML", clamp_eps=1e-6)
-    assert res.sigma_hat.values[0] >= 1e-6
-    assert not res.boundary_hit
-    assert not res.converged  # interior score cannot vanish at the clamp
-
-
 def test_start_validation():
     model, y = canonical_pair()
     with pytest.raises(ValueError):
@@ -194,3 +188,80 @@ def test_refit_from_estimate_is_stationary():
     np.testing.assert_array_equal(
         second.sigma_hat.values, first.sigma_hat.values
     )
+
+
+# --- the active set and the rounding floor --------------------------------
+
+BOUNDARY_SEEDS = (5, 20, 34, 48, 56)
+PLATEAU_SEEDS = {"REML": (1, 9, 15, 17, 34), "ML": (0, 11, 29)}
+
+
+def boundary_model():
+    # nine groups of two, intercept only: sigma-hat_1 = 0 on these seeds
+    return build_nested_error(np.zeros(18), balanced_groups(9, 2), np.ones((18, 1)))
+
+
+def plateau_model():
+    sizes = (1, 2, 3, 5, 8, 13) * 10
+    groups = np.repeat(np.arange(len(sizes)), sizes)
+    x = rng(5).standard_normal(len(groups))
+    X = np.column_stack([np.ones(len(groups)), x])
+    return build_nested_error(np.zeros(len(groups)), groups, X)
+
+
+def boundary_and_plateau_fits():
+    """(case, fit) for every boundary and plateau case, in a fixed order."""
+    out = []
+    model = boundary_model()
+    for seed in BOUNDARY_SEEDS:
+        y = simulate_dataset(model, [1.0, 1.0], [0.0], seed)
+        for method in ("REML", "ML"):
+            out.append(((seed, method), fit(model, y, method)))
+    model = plateau_model()
+    for method, seeds in PLATEAU_SEEDS.items():
+        for seed in seeds:
+            y = simulate_dataset(model, [1.0, 0.5], [1.0, 2.0], seed)
+            out.append(((seed, method), fit(model, y, method)))
+    return out
+
+
+@pytest.mark.parametrize("seed", BOUNDARY_SEEDS)
+def test_boundary_fit_reaches_the_free_root(seed):
+    # with sigma_1 held at 0, Sigma = sigma_0 I and the root is closed-form
+    model = boundary_model()
+    y = simulate_dataset(model, [1.0, 1.0], [0.0], seed)
+    reml = fit(model, y, "REML")
+    ml = fit(model, y, "ML")
+    assert reml.converged and ml.converged
+    assert reml.sigma_hat.values[1] == 0.0 and ml.sigma_hat.values[1] == 0.0
+    assert reml.sigma_hat.values[0] == pytest.approx(y.var(ddof=1), abs=1e-10)
+    assert ml.sigma_hat.values[0] == pytest.approx(y.var(ddof=0), abs=1e-6)
+
+
+@pytest.mark.parametrize(
+    "method,seed", [(m, s) for m, seeds in PLATEAU_SEEDS.items() for s in seeds]
+)
+def test_fit_at_a_root_on_a_flat_criterion_converges(method, seed):
+    model = plateau_model()
+    y = simulate_dataset(model, [1.0, 0.5], [1.0, 2.0], seed)
+    res = fit(model, y, method)
+    assert res.converged
+    assert not res.boundary_hit
+    assert res.final_score_norm <= 1e-7
+
+
+@pytest.mark.parametrize("perturb", ["symmetrize", "scale"])
+def test_rounding_in_the_projection_flips_no_flag(perturb, monkeypatch):
+    base = boundary_and_plateau_fits()
+    project = SigmaPoint._project
+
+    def perturbed(self, inv):
+        P = project(self, inv)
+        return 0.5 * (P + P.T) if perturb == "symmetrize" else P * (1.0 + 2.0**-50)
+
+    monkeypatch.setattr(SigmaPoint, "_project", perturbed)
+    for (case, want), (_, got) in zip(base, boundary_and_plateau_fits()):
+        assert want.converged and got.converged, case
+        np.testing.assert_allclose(
+            got.sigma_hat.values, want.sigma_hat.values, rtol=1e-6, atol=1e-10
+        )
