@@ -250,9 +250,13 @@ def test_fit_at_a_root_on_a_flat_criterion_converges(method, seed):
     assert res.final_score_norm <= 1e-7
 
 
+@pytest.fixture(scope="module")
+def unperturbed_fits():
+    return boundary_and_plateau_fits()
+
+
 @pytest.mark.parametrize("perturb", ["symmetrize", "scale"])
-def test_rounding_in_the_projection_flips_no_flag(perturb, monkeypatch):
-    base = boundary_and_plateau_fits()
+def test_rounding_in_the_projection_flips_no_flag(perturb, unperturbed_fits, monkeypatch):
     project = SigmaPoint._project
 
     def perturbed(self, inv):
@@ -260,7 +264,7 @@ def test_rounding_in_the_projection_flips_no_flag(perturb, monkeypatch):
         return 0.5 * (P + P.T) if perturb == "symmetrize" else P * (1.0 + 2.0**-50)
 
     monkeypatch.setattr(SigmaPoint, "_project", perturbed)
-    for (case, want), (_, got) in zip(base, boundary_and_plateau_fits()):
+    for (case, want), (_, got) in zip(unperturbed_fits, boundary_and_plateau_fits()):
         assert want.converged and got.converged, case
         np.testing.assert_allclose(
             got.sigma_hat.values, want.sigma_hat.values, rtol=1e-6, atol=1e-10
