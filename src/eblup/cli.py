@@ -21,7 +21,7 @@ import argparse
 import csv
 import json
 import sys
-from dataclasses import dataclass, fields as dc_fields
+from dataclasses import asdict, dataclass, fields as dc_fields
 
 import numpy as np
 
@@ -30,9 +30,9 @@ from .exceptions import EblupError, SimulationError, SingularInformation
 from .kron import BalancedDesign, expand, projection_identity_check, sigma_coefficients, tau_coefficients, to_model
 from .likelihood import as_method, hessian, profile_loglik, restricted_loglik, score_ml, score_reml
 from .model import MixedModel, PredictionTarget, area_target, build_anova, build_fay_herriot, build_nested_error
-from .mse import MseReport, mse_estimators
+from .mse import mse_estimators
 from .prediction import eblup
-from .simulation import McConfig, McReport, quadratic_moment_check, run_study
+from .simulation import McConfig, quadratic_moment_check, run_study
 
 EXIT_OK = 0
 EXIT_FAILED = 1
@@ -105,19 +105,15 @@ def _fit_summary(res: FitResult) -> dict:
     }
 
 
-def _mse_summary(rep: MseReport) -> dict:
-    return {
-        "g1": rep.g1,
-        "g2": rep.g2,
-        "g3": rep.g3,
-        "g3_data": rep.g3_data,
-        "g10": rep.g10,
-        "naive": rep.naive,
-        "prasad_rao": rep.prasad_rao,
-        "second_order": rep.second_order,
-        "method": rep.method,
-        "warnings": list(rep.warnings),
-    }
+def _plain(x):
+    """``dataclasses.asdict`` output as plain JSON types: arrays and tuples become lists."""
+    if isinstance(x, dict):
+        return {k: _plain(v) for k, v in x.items()}
+    if isinstance(x, (list, tuple)):
+        return [_plain(v) for v in x]
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
+    return x
 
 
 # --------------------------------------------------------------------------
@@ -340,7 +336,7 @@ def cmd_mse(args) -> int:
             {
                 "name": t.name,
                 "eblup": pred.value,
-                "mse": _mse_summary(rep),
+                "mse": _plain(asdict(rep)),
                 "warnings": list(pred.warnings),
             }
         )
@@ -424,47 +420,6 @@ def config_from_dict(data: dict) -> tuple[McConfig, dict]:
     return config, echo
 
 
-def report_as_dict(report: McReport) -> dict:
-    return {
-        "replicates": report.replicates,
-        "n_used": report.n_used,
-        "n_failed": report.n_failed,
-        "failure_rate": report.failure_rate,
-        "base_seed": report.base_seed,
-        "cells": [
-            {
-                "target": c.target,
-                "method": c.method,
-                "emp_mse_eblup": c.emp_mse_eblup,
-                "emp_mse_eblup_se": c.emp_mse_eblup_se,
-                "emp_mse_blup": c.emp_mse_blup,
-                "emp_mse_blup_se": c.emp_mse_blup_se,
-                "estimator_mean": dict(c.estimator_mean),
-                "estimator_se": dict(c.estimator_se),
-                "relative_bias": dict(c.relative_bias),
-                "g3_data_mean": c.g3_data_mean,
-                "g3_data_se": c.g3_data_se,
-                "analytic_naive": c.analytic_naive,
-                "analytic_mse_approx": c.analytic_mse_approx,
-            }
-            for c in report.cells
-        ],
-        "diagnostics": [
-            {
-                "method": d.method,
-                "score_mean": d.score_mean.tolist(),
-                "score_se": d.score_se.tolist(),
-                "score_target": d.score_target.tolist(),
-                "score_z": d.score_z.tolist(),
-                "n_boundary": d.n_boundary,
-                "boundary_rate": d.boundary_rate,
-                "n_not_converged": d.n_not_converged,
-            }
-            for d in report.diagnostics
-        ],
-    }
-
-
 _CSV_FIELDS = (
     "target", "method", "estimator", "mean", "se", "relative_bias",
     "emp_mse_eblup", "emp_mse_eblup_se", "emp_mse_blup", "emp_mse_blup_se",
@@ -473,28 +428,19 @@ _CSV_FIELDS = (
 )
 
 
-def _study_csv(report: McReport) -> str:
-    rates = {d.method: d.boundary_rate for d in report.diagnostics}
+def _study_csv(report: dict) -> str:
+    rates = {d["method"]: d["boundary_rate"] for d in report["diagnostics"]}
     lines = [",".join(_CSV_FIELDS)]
-    for cell in report.cells:
-        for name, mean in cell.estimator_mean.items():
+    for cell in report["cells"]:
+        for name, mean in cell["estimator_mean"].items():
             row = {
-                "target": cell.target,
-                "method": cell.method,
+                **cell,
                 "estimator": name,
                 "mean": mean,
-                "se": cell.estimator_se[name],
-                "relative_bias": cell.relative_bias[name],
-                "emp_mse_eblup": cell.emp_mse_eblup,
-                "emp_mse_eblup_se": cell.emp_mse_eblup_se,
-                "emp_mse_blup": cell.emp_mse_blup,
-                "emp_mse_blup_se": cell.emp_mse_blup_se,
-                "g3_data_mean": cell.g3_data_mean,
-                "g3_data_se": cell.g3_data_se,
-                "analytic_naive": cell.analytic_naive,
-                "analytic_mse_approx": cell.analytic_mse_approx,
-                "boundary_rate": rates[cell.method],
-                "n_used": report.n_used,
+                "se": cell["estimator_se"][name],
+                "relative_bias": cell["relative_bias"][name],
+                "boundary_rate": rates[cell["method"]],
+                "n_used": report["n_used"],
             }
             lines.append(
                 ",".join("" if row[f] is None else repr(row[f]) if isinstance(row[f], float) else str(row[f]) for f in _CSV_FIELDS)
@@ -518,14 +464,14 @@ def cmd_simulate(args) -> int:
         raise ValueError("provide --config FILE or --preset NAME")
 
     report = run_study(config)
-    payload = {"config_echo": echo, "report": report_as_dict(report)}
+    payload = {"config_echo": echo, "report": _plain(asdict(report))}
     json_path = f"{args.out}.json"
     csv_path = f"{args.out}.csv"
     with open(json_path, "w", encoding="utf-8", newline="\n") as fh:
         json.dump(payload, fh, indent=2, sort_keys=True)
         fh.write("\n")
     with open(csv_path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write(_study_csv(report))
+        fh.write(_study_csv(payload["report"]))
     print(f"wrote {json_path} and {csv_path}")
     print(f"replicates={report.n_used} failed={report.n_failed}")
     for cell in report.cells:

@@ -216,15 +216,31 @@ def mse_estimators(
     )
 
 
+def _mse_true_approx_at(
+    sp: SigmaPoint, target: PredictionTarget, info: InformationMatrix
+) -> tuple[float, float | None]:
+    """(g1 + g2, g1 + g2 + g3) at the workspace's sigma; the second is None
+    when the information is singular."""
+    naive = _g1_at(sp, target) + _g2_at(sp, target)
+    try:
+        return naive, naive + _g3_at(sp, grad_s_rhs_at(sp, target), info)
+    except ArithmeticError:
+        return naive, None
+
+
 def mse_true_approx(
     model: MixedModel, sigma_true, target: PredictionTarget, method: str = "REML"
 ) -> float:
-    """Second-order approximation g1 + g2 + g3 of MSE[t(sigma_hat)] at the true sigma."""
+    """Second-order approximation g1 + g2 + g3 of MSE[t(sigma_hat)] at the true sigma.
+
+    Raises SingularInformation when the information at sigma_true is singular.
+    """
     check_target(model, target)
     method = as_method(method)
     sp = SigmaPoint(model, sigma_true)
     info = InformationMatrix(information_at(sp, method), method)
-    return _g1_at(sp, target) + _g2_at(sp, target) + _g3_at(sp, grad_s_rhs_at(sp, target), info)
+    info.fisher_inv  # noqa: B018 - a singular information raises here
+    return _mse_true_approx_at(sp, target, info)[1]
 
 
 # --------------------------------------------------------------------------

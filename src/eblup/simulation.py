@@ -12,8 +12,9 @@ from __future__ import annotations
 import math
 import os
 import warnings as _warnings
+from collections import Counter
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -28,10 +29,12 @@ from .likelihood import (
     score_at,
 )
 from .model import BOUNDARY_TOL, MixedModel, PredictionTarget, sigma_as_array
-from .mse import _g1_at, _g2_at, _g3_at, mse_estimators
-from .prediction import blup_at, eblup, grad_s_rhs_at
+from .mse import _mse_true_approx_at, mse_estimators
+from .prediction import blup_at, eblup
 
 ESTIMATORS = ("naive", "prasad_rao", "second_order", "data_specific")
+# the columns of _Replicate.values
+_VALUES = ESTIMATORS + ("g3_data",)
 
 MAX_FAILURE_RATE = 0.01
 
@@ -146,18 +149,32 @@ class McReport:
     n_used: int
     n_failed: int
     failure_rate: float
+    failures: dict[str, int]  # failed replicates by exception type name
     base_seed: int
     cells: tuple[McCell, ...]
     diagnostics: tuple[MethodDiagnostics, ...]
 
 
-@dataclass
 class _Replicate:
-    ok: bool
-    error: str = ""
-    blup_sq_err: list[float] = field(default_factory=list)
-    mu: list[float] = field(default_factory=list)
-    per_method: dict[str, dict] = field(default_factory=dict)
+    """One replicate's outputs in fixed-shape arrays, or the exception type
+    name in ``error`` when it failed.
+
+    Axes: methods as in ``config.methods``, targets as in ``config.targets``,
+    and for ``values`` the columns ``_VALUES`` (the estimators, then g3_data).
+    ``values`` holds NaN where the replicate produced no value: the
+    corrected estimators of a naive-only report, and data_specific and
+    g3_data when they were not asked for.  The aggregation averages each
+    column over its non-NaN entries.
+    """
+
+    def __init__(self, n_methods: int, n_targets: int, s: int):
+        self.error = ""
+        self.blup_sq_err = np.empty(n_targets)
+        self.boundary = np.empty(n_methods, dtype=bool)
+        self.converged = np.empty(n_methods, dtype=bool)
+        self.score_true = np.empty((n_methods, s))
+        self.sq_err = np.empty((n_methods, n_targets))
+        self.values = np.full((n_methods, n_targets, len(_VALUES)), np.nan)
 
 
 # --------------------------------------------------------------------------
@@ -165,13 +182,10 @@ class _Replicate:
 # --------------------------------------------------------------------------
 
 
-def _mean(xs: list[float]) -> float:
-    return math.fsum(xs) / len(xs)
-
-
-def _mean_se(xs: list[float]) -> tuple[float, float]:
+def _mean_se(column: np.ndarray) -> tuple[float, float]:
+    xs = column.tolist()
     n = len(xs)
-    m = _mean(xs)
+    m = math.fsum(xs) / n
     var = math.fsum((x - m) ** 2 for x in xs) / (n - 1)
     return m, math.sqrt(var / n)
 
@@ -200,41 +214,26 @@ def _thread_count(n_jobs: int) -> int:
 def _run_replicate(config: McConfig, r: int, sp_true: SigmaPoint) -> _Replicate:
     """One replicate; ``sp_true`` is the study's workspace at the true sigma."""
     model = config.model
-    rec = _Replicate(ok=True)
+    rec = _Replicate(len(config.methods), len(config.targets), model.s)
     try:
         y, v = _draw(model, config.sigma_true, config.beta_true, config.base_seed + r)
-        rec.mu = [float(t.l @ config.beta_true + t.m @ v) for t in config.targets]
+        mu = [float(t.l @ config.beta_true + t.m @ v) for t in config.targets]
         for k, t in enumerate(config.targets):
-            b = blup_at(sp_true, y, t)
-            rec.blup_sq_err.append((b.value - rec.mu[k]) ** 2)
+            rec.blup_sq_err[k] = (blup_at(sp_true, y, t).value - mu[k]) ** 2
         want_data = "data_specific" in config.estimators
-        for method in config.methods:
+        for i, method in enumerate(config.methods):
             res = fit(model, y, method=method)
-            entry = {
-                "boundary": bool(res.boundary_hit),
-                "converged": bool(res.converged),
-                "score_true": score_at(sp_true, y, method),
-                "targets": [],
-            }
+            rec.boundary[i] = res.boundary_hit
+            rec.converged[i] = res.converged
+            rec.score_true[i] = score_at(sp_true, y, method)
             for k, t in enumerate(config.targets):
                 rep = mse_estimators(model, res, y, t, data_specific=want_data)
-                pred = eblup(model, res, y, t)
-                values = {"naive": rep.naive}
-                if rep.prasad_rao is not None:
-                    values["prasad_rao"] = rep.prasad_rao
-                    values["second_order"] = rep.second_order
-                if rep.g3_data is not None:
-                    values["data_specific"] = rep.naive + 2.0 * rep.g3_data
-                entry["targets"].append(
-                    {
-                        "sq_err": (pred.value - rec.mu[k]) ** 2,
-                        "estimators": values,
-                        "g3_data": rep.g3_data,
-                    }
-                )
-            rec.per_method[method] = entry
+                rec.sq_err[i, k] = (eblup(model, res, y, t).value - mu[k]) ** 2
+                data = None if rep.g3_data is None else rep.naive + 2.0 * rep.g3_data
+                row = (rep.naive, rep.prasad_rao, rep.second_order, data, rep.g3_data)
+                rec.values[i, k] = [math.nan if x is None else x for x in row]
     except Exception as err:  # noqa: BLE001 - replicate failures are data
-        return _Replicate(ok=False, error=f"{type(err).__name__}: {err}")
+        rec.error = type(err).__name__
     return rec
 
 
@@ -259,36 +258,32 @@ def run_study(config: McConfig) -> McReport:
                 pool.map(lambda r: _run_replicate(config, r, sp_true), range(n_rep))
             )
 
-    used = [rec for rec in records if rec.ok]
+    used = [rec for rec in records if not rec.error]
     n_failed = n_rep - len(used)
     failure_rate = n_failed / n_rep
+    failures = dict(sorted(Counter(rec.error for rec in records if rec.error).items()))
     if failure_rate > MAX_FAILURE_RATE:
-        examples = [rec.error for rec in records if not rec.ok][:3]
-        raise SimulationError(
-            f"{n_failed}/{n_rep} replicates failed (first errors: {examples})"
-        )
+        raise SimulationError(f"{n_failed}/{n_rep} replicates failed, by type: {failures}")
     if not used:
         raise SimulationError("no replicate succeeded")
 
+    # replicates along axis 0 of each stacked array
+    blup_sq_err = np.stack([rec.blup_sq_err for rec in used])
+    boundary = np.stack([rec.boundary for rec in used])
+    converged = np.stack([rec.converged for rec in used])
+    score_true = np.stack([rec.score_true for rec in used])
+    sq_err = np.stack([rec.sq_err for rec in used])
+    values = np.stack([rec.values for rec in used])
     cells = []
     diagnostics = []
-    for method in config.methods:
-        mean_score = []
-        se_score = []
-        per_rep_scores = [rec.per_method[method]["score_true"] for rec in used]
-        for i in range(model.s):
-            m, se = _mean_se([float(s[i]) for s in per_rep_scores])
-            mean_score.append(m)
-            se_score.append(se)
+    for i, method in enumerate(config.methods):
+        mean_arr, se_arr = np.array([_mean_se(score_true[:, i, j]) for j in range(model.s)]).T
         if method == "ML":
             target_vec = -ml_score_bias_at(sp_true)
         else:
             target_vec = np.zeros(model.s)
-        mean_arr = np.array(mean_score)
-        se_arr = np.array(se_score)
         z = _safe_z(mean_arr - target_vec, se_arr)
-        n_boundary = sum(1 for rec in used if rec.per_method[method]["boundary"])
-        n_not_converged = sum(1 for rec in used if not rec.per_method[method]["converged"])
+        n_boundary = int(np.count_nonzero(boundary[:, i]))
         diagnostics.append(
             MethodDiagnostics(
                 method=method,
@@ -298,42 +293,23 @@ def run_study(config: McConfig) -> McReport:
                 score_z=z,
                 n_boundary=n_boundary,
                 boundary_rate=n_boundary / len(used),
-                n_not_converged=n_not_converged,
+                n_not_converged=len(used) - int(np.count_nonzero(converged[:, i])),
             )
         )
         info_true = InformationMatrix(information_at(sp_true, method), method)
         for k, t in enumerate(config.targets):
-            emp, emp_se = _mean_se(
-                [rec.per_method[method]["targets"][k]["sq_err"] for rec in used]
-            )
-            emp_blup, emp_blup_se = _mean_se([rec.blup_sq_err[k] for rec in used])
-            est_mean: dict[str, float] = {}
-            est_se: dict[str, float] = {}
-            rel_bias: dict[str, float] = {}
-            for name in config.estimators:
-                vals = [
-                    rec.per_method[method]["targets"][k]["estimators"][name]
-                    for rec in used
-                    if name in rec.per_method[method]["targets"][k]["estimators"]
-                ]
-                if not vals:
-                    continue
-                m, se = _mean_se(vals)
-                est_mean[name] = m
-                est_se[name] = se
-                rel_bias[name] = (m - emp) / emp if emp > 0 else math.nan
-            g3d = [
-                rec.per_method[method]["targets"][k]["g3_data"]
-                for rec in used
-                if rec.per_method[method]["targets"][k]["g3_data"] is not None
-            ]
-            g3_mean, g3_se = _mean_se(g3d) if len(g3d) >= 2 else (None, None)
-            naive_true = _g1_at(sp_true, t) + _g2_at(sp_true, t)
-            try:
-                # mse_true_approx, on the study's workspace
-                approx = naive_true + _g3_at(sp_true, grad_s_rhs_at(sp_true, t), info_true)
-            except ArithmeticError:
-                approx = None
+            emp, emp_se = _mean_se(sq_err[:, i, k])
+            emp_blup, emp_blup_se = _mean_se(blup_sq_err[:, k])
+            # a column with fewer than two values has no standard error: absent
+            present = {}
+            for j, name in enumerate(_VALUES):
+                column = values[:, i, k, j]
+                column = column[~np.isnan(column)]
+                if column.size >= 2:
+                    present[name] = _mean_se(column)
+            est = {name: present[name] for name in config.estimators if name in present}
+            g3_mean, g3_se = present.get("g3_data", (None, None))
+            naive_true, approx = _mse_true_approx_at(sp_true, t, info_true)
             cells.append(
                 McCell(
                     target=t.name or f"target{k}",
@@ -342,9 +318,12 @@ def run_study(config: McConfig) -> McReport:
                     emp_mse_eblup_se=emp_se,
                     emp_mse_blup=emp_blup,
                     emp_mse_blup_se=emp_blup_se,
-                    estimator_mean=est_mean,
-                    estimator_se=est_se,
-                    relative_bias=rel_bias,
+                    estimator_mean={name: m for name, (m, _) in est.items()},
+                    estimator_se={name: se for name, (_, se) in est.items()},
+                    relative_bias={
+                        name: (m - emp) / emp if emp > 0 else math.nan
+                        for name, (m, _) in est.items()
+                    },
                     g3_data_mean=g3_mean,
                     g3_data_se=g3_se,
                     analytic_naive=naive_true,
@@ -356,6 +335,7 @@ def run_study(config: McConfig) -> McReport:
         n_used=len(used),
         n_failed=n_failed,
         failure_rate=failure_rate,
+        failures=failures,
         base_seed=config.base_seed,
         cells=tuple(cells),
         diagnostics=tuple(diagnostics),

@@ -1,11 +1,13 @@
 """Command-line interface: exit codes, report JSON, file round trips."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
-from eblup import cli
+from eblup import McReport, MseReport, cli
+from eblup.simulation import McCell, MethodDiagnostics
 
 
 CANONICAL_CSV = "area,y,phi,x1\n1,1.0,1.0,1.0\n2,-1.0,1.0,1.0\n"
@@ -309,6 +311,34 @@ def test_simulate_custom_config(tmp_path, capsys, monkeypatch):
     payload = json.loads(open(out + ".json").read())
     assert payload["report"]["replicates"] == 5  # the flag overrides the file
     assert len(payload["report"]["cells"]) == 2
+
+
+def names(cls):
+    return {f.name for f in dataclasses.fields(cls)}
+
+
+def test_report_keys_are_the_dataclass_field_names(tmp_path, capsys, monkeypatch):
+    out = str(tmp_path / "k")
+    monkeypatch.setenv("EBLUP_THREADS", "1")
+    rc, _, _ = run(
+        capsys,
+        ["simulate", "--preset", "harville-jeske-balanced",
+         "--replicates", "4", "--seed", "2", "--out", out],
+    )
+    assert rc == cli.EXIT_OK
+    report = json.loads(open(out + ".json").read())["report"]
+    assert set(report) == names(McReport)
+    assert report["failures"] == {}
+    assert report["cells"] and report["diagnostics"]
+    for cell in report["cells"]:
+        assert set(cell) == names(McCell)
+    for diag in report["diagnostics"]:
+        assert set(diag) == names(MethodDiagnostics)
+
+    data = write(tmp_path, "fh.csv", CANONICAL_CSV)
+    rc, out, _ = run(capsys, ["mse", "--family", "fay-herriot", "--data", data, "--area", "1"])
+    assert rc == cli.EXIT_OK
+    assert set(parse_report(out).targets[0]["mse"]) == names(MseReport)
 
 
 def test_simulate_rejects_unknown_config_keys(tmp_path, capsys):

@@ -1,16 +1,20 @@
 """Monte Carlo engine: reproducibility, aggregation, and moment diagnostics."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
 
 from eblup import (
     McConfig,
+    NotPositiveDefinite,
     SimulationError,
     area_target,
     build_fay_herriot,
+    fit,
     ml_score_bias,
+    mse_estimators,
     quadratic_moment_check,
     run_study,
     score_moment_check,
@@ -290,8 +294,78 @@ def test_widespread_failures_abort(monkeypatch):
 
     monkeypatch.setattr(simulation_mod, "fit", broken_fit)
     monkeypatch.setenv("EBLUP_THREADS", "1")
-    with pytest.raises(SimulationError, match="replicates failed"):
+    with pytest.raises(SimulationError, match="replicates failed") as info:
         run_study(config)
+    assert "RuntimeError" in str(info.value)
+
+
+def test_failures_are_counted_by_type(monkeypatch):
+    gen = rng(745)
+    model = small_fh(gen)
+    config = McConfig(
+        model=model,
+        sigma_true=[1.0],
+        beta_true=[0.0],
+        targets=(area_target(model, 0),),
+        replicates=150,
+        base_seed=20,
+    )
+    y_bad = simulate_dataset(model, config.sigma_true, config.beta_true, config.base_seed + 7)
+    real_fit = simulation_mod.fit
+
+    def fit_failing_once(model, y, method="REML", **kwargs):
+        if np.array_equal(y, y_bad):
+            raise NotPositiveDefinite("synthetic failure")
+        return real_fit(model, y, method=method, **kwargs)
+
+    monkeypatch.setattr(simulation_mod, "fit", fit_failing_once)
+    report = run_study(config)
+    assert report.failures == {"NotPositiveDefinite": 1}
+    assert (report.n_failed, report.n_used) == (1, 149)
+
+
+def test_absent_estimators_stay_absent(monkeypatch):
+    # naive-only reports (as under a singular information) on the even
+    # replicates under REML and on every replicate under ML
+    gen = rng(747)
+    model = small_fh(gen)
+    tgt = area_target(model, 2)
+    config = McConfig(
+        model=model,
+        sigma_true=[1.0],
+        beta_true=[0.0],
+        targets=(tgt,),
+        methods=("REML", "ML"),
+        replicates=10,
+        base_seed=30,
+        estimators=("naive", "prasad_rao", "second_order", "data_specific"),
+    )
+    ys = [
+        simulate_dataset(model, config.sigma_true, config.beta_true, config.base_seed + r)
+        for r in range(config.replicates)
+    ]
+    real = simulation_mod.mse_estimators
+
+    def naive_only_on_evens(model, res, y, target, data_specific=False):
+        rep = real(model, res, y, target, data_specific=data_specific)
+        if res.method == "ML" or any(np.array_equal(y, ys[r]) for r in range(0, len(ys), 2)):
+            return dataclasses.replace(
+                rep, g3=None, g3_data=None, g10=None, prasad_rao=None, second_order=None
+            )
+        return rep
+
+    monkeypatch.setattr(simulation_mod, "mse_estimators", naive_only_on_evens)
+    reml, ml = run_study(config).cells
+    reps = [mse_estimators(model, fit(model, y), y, tgt, data_specific=True) for y in ys]
+    odd = reps[1::2]
+    assert reml.estimator_mean["naive"] == pytest.approx(math.fsum(r.naive for r in reps) / 10, rel=1e-12)
+    for name in ("prasad_rao", "second_order"):
+        want = math.fsum(r.prasad_rao for r in odd) / len(odd)
+        assert reml.estimator_mean[name] == pytest.approx(want, rel=1e-12)
+    assert reml.g3_data_mean == pytest.approx(math.fsum(r.g3_data for r in odd) / len(odd), rel=1e-12)
+    assert set(reml.estimator_mean) == set(config.estimators)
+    assert set(ml.estimator_mean) == set(ml.estimator_se) == set(ml.relative_bias) == {"naive"}
+    assert ml.g3_data_mean is None and ml.g3_data_se is None
 
 
 # --- score moments --------------------------------------------------------
