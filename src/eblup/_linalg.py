@@ -1,12 +1,32 @@
-"""Internal dense linear-algebra workspace shared by the numeric modules.
+"""Internal linear-algebra workspace shared by the numeric modules.
 
-A :class:`SigmaPoint` bundles the Cholesky factorizations of Sigma(sigma) and
-of the GLS Gram matrix X' Sigma^-1 X at one parameter point, and owns the
-trace algebra of the likelihood: every second-order quantity is a trace
-polynomial tr(BV_i), tr(BV_iBV_j) or tr(BV_iBV_jBV_k) in B = P (REML) or
-B = Sigma^-1 (ML) against V_i = dSigma/dsigma_i.  The dense B is built inside
-those calls and dropped afterwards.  Everything is dense; the package targets
-desk-scale problems.
+A :class:`SigmaPoint` holds Sigma(sigma) = R + Z G Z' and the GLS Gram matrix
+X' Sigma^-1 X factorized at one parameter point, and owns the trace algebra
+of the likelihood: every second-order quantity is a trace polynomial
+tr(BV_i), tr(BV_iBV_j) or tr(BV_iBV_jBV_k) in B = P (REML) or B = Sigma^-1
+(ML) against V_i = dSigma/dsigma_i.  R and G are diagonal, and the point
+alone picks one of two backends:
+
+* r-space, when every R_ii = d_i + sigma_0 is positive (Fay-Herriot always,
+  a model with a residual whenever sigma_0 > 0).  Sigma is then positive
+  definite for any G >= 0, and with H = G^1/2 and U = R^-1 Z Woodbury's
+  identity, as in Henderson's mixed-model equations, gives
+
+      Sigma^-1 = R^-1 - U M U',  M = H C^-1 H,  C = I + H Z'R^-1 Z H,
+      log|Sigma| = sum_i log R_ii + log|C|,
+
+  so nothing n x n is formed.  When every row of Z has at most one nonzero
+  (one random-effect block: Fay-Herriot, nested error) Z'R^-j Z and C are
+  diagonal and are kept as vectors; otherwise C takes one r x r Cholesky
+  factorization.  The traces come from the r x r matrix Z'BZ and, for
+  V_0 = I, from tr(B), tr(B^2) and the diagonal of Z'B^2Z.
+* dense, when some R_ii is 0 (sigma_0 = 0 with d = 0).  Only the n x n
+  Cholesky factorization of Sigma can then tell whether Sigma is positive
+  definite; the traces read the dense B, built inside the call and dropped.
+
+``trace3`` and ``b_matrix`` form the dense B under either backend: they
+serve the third-order traces (third derivatives, the MSE w vector) and the
+explicit projection, which no fit iterate reads.
 """
 
 from __future__ import annotations
@@ -21,21 +41,30 @@ from .exceptions import NotPositiveDefinite, SingularGram
 from .model import MixedModel, sigma_as_array, sigma_matrix
 
 
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, where a 1-d ``a`` stands for the diagonal matrix diag(a)."""
+    return (a * b.T).T if a.ndim == 1 else a @ b
+
+
 class SigmaPoint:
     """Factorized covariance state for one (model, sigma) pair.
 
-    Lazily caches Sigma, its Cholesky factor, Sigma^-1 X, the Gram matrix
-    and the per-method traces; the n x n matrices Sigma^-1 and
-    P = Sigma^-1 - Sigma^-1 X (X'Sigma^-1 X)^-1 X'Sigma^-1 are never kept.
-    Instances are cheap views over an immutable model.  Build one per
-    parameter point and pass it to every computation at that point: a fit
-    returns its point at sigma-hat as ``FitResult.workspace``, which the
+    Lazily caches the factorization of Sigma (the r-space core or the dense
+    Cholesky factor), Sigma^-1 X, the Gram matrix and the per-method traces;
+    the n x n matrices Sigma^-1 and P = Sigma^-1 - Sigma^-1 X (X'Sigma^-1 X)^-1
+    X'Sigma^-1 are never kept.  ``r_space`` says which backend serves the
+    point.  Instances are cheap views over an immutable model.  Build one
+    per parameter point and pass it to every computation at that point: a
+    fit returns its point at sigma-hat as ``FitResult.workspace``, which the
     EBLUP and MSE code reuse.
     """
 
     def __init__(self, model: MixedModel, sigma):
         self.model = model
         self.sigma = sigma_as_array(model, sigma)
+        self.rho = model.family.r_diag(self.sigma)
+        self.r_space = bool(np.all(self.rho > 0.0))
+        self._rinv = 1.0 / self.rho if self.r_space else None
         self._traces: dict[str, tuple[np.ndarray, np.ndarray]] = {}
 
     # -- Sigma ------------------------------------------------------------
@@ -58,17 +87,41 @@ class SigmaPoint:
                 f"Sigma(sigma={self.sigma.tolist()}) is not positive definite"
             ) from err
 
-    def solve(self, b: np.ndarray) -> np.ndarray:
-        """Sigma^-1 b via the cached Cholesky factor.
+    def _zrz(self, w: np.ndarray) -> np.ndarray:
+        """Z' diag(w) Z, as the vector of its diagonal when that is all of it."""
+        Z, zv = self.model.Z, self.model.z_row_values
+        return Z.T @ (zv * w) if zv is not None else (Z.T * w) @ Z
 
-        Only b is checked for non-finite entries: the factor came from a
-        checked, finite Sigma, and checking its n^2 entries on every solve
-        would cost as much as the solve.
+    @cached_property
+    def _core(self) -> tuple[np.ndarray, np.ndarray, float]:
+        """(K1, M, log|C|) of the r-space backend, with K1 = Z'R^-1 Z."""
+        g = self.g_diag
+        k1 = self._zrz(self._rinv)
+        if k1.ndim == 1:
+            c = 1.0 + g * k1
+            return k1, g / c, float(np.sum(np.log(c)))
+        h = np.sqrt(g)
+        cho = sla.cho_factor(np.eye(len(h)) + h[:, None] * k1 * h, lower=True)
+        m = h[:, None] * sla.cho_solve(cho, np.diag(h))
+        return k1, 0.5 * (m + m.T), 2.0 * float(np.sum(np.log(np.diag(cho[0]))))
+
+    def solve(self, b: np.ndarray) -> np.ndarray:
+        """Sigma^-1 b, for a vector or a matrix b.
+
+        Only b is checked for non-finite entries: the factorization came
+        from a finite Sigma, and checking it on every solve would cost as
+        much as the solve.
         """
-        return sla.cho_solve(self._cho, np.asarray_chkfinite(b), check_finite=False)
+        b = np.asarray_chkfinite(b)
+        if not self.r_space:
+            return sla.cho_solve(self._cho, b, check_finite=False)
+        Z, rinv = self.model.Z, self._rinv
+        return _dot(rinv, b - Z @ _dot(self._core[1], Z.T @ _dot(rinv, b)))
 
     @cached_property
     def logdet_sigma(self) -> float:
+        if self.r_space:
+            return float(np.sum(np.log(self.rho))) + self._core[2]
         c, _ = self._cho
         return 2.0 * float(np.sum(np.log(np.diag(c))))
 
@@ -125,27 +178,69 @@ class SigmaPoint:
     def traces(self, method: str) -> tuple[np.ndarray, np.ndarray]:
         """(t1, t2) with t1[i] = tr(BV_i) and t2[i, j] = tr(BV_iBV_j).
 
-        Cached per method, so the score, the information and the effective
-        dimensions at one point share one set of BV_i products.  Threads
-        sharing a point may fill an entry twice, with equal values.
+        Both methods are computed at once and cached, so the score, the
+        information and the effective dimensions at one point share one set
+        of traces, and the ML information and score bias, which read both
+        methods, take no second pass.  Threads sharing a point may fill the
+        cache twice, with equal values.
         """
-        if method not in self._traces:
-            B = self.b_matrix(method)
-            if method == "ML" and "REML" not in self._traces:
-                # the ML information and score bias also read the REML traces
-                self._traces["REML"] = self._trace_pair(self._project(B))
-            self._traces[method] = self._trace_pair(B)
+        if not self._traces:
+            self._traces = {m: self._trace_pair(*parts) for m, parts in self._trace_parts().items()}
         return self._traces[method]
 
-    def _trace_pair(self, B: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        # tr(B V_i) = sum(B * V_i) for symmetric B, V_i
-        t1 = np.array([np.sum(B * v) for v in self.model.v_mats])
-        bv = [B @ v for v in self.model.v_mats]
-        t2 = np.empty((len(bv), len(bv)))
-        for i in range(len(bv)):
-            for j in range(i, len(bv)):
-                t2[i, j] = t2[j, i] = np.sum(bv[i] * bv[j].T)
-        return t1, t2
+    def _trace_parts(self) -> dict:
+        """Per method, W = Z'BZ and, with a residual, (tr B, tr B^2, diag Z'B^2Z)."""
+        model = self.model
+        Z, residual = model.Z, model.family.residual
+        if not self.r_space:
+            inv = self.b_matrix("ML")
+            parts = {}
+            for method, B in (("ML", inv), ("REML", self._project(inv))):
+                bz = B @ Z
+                sq = (np.trace(B), np.sum(B * B), np.sum(bz * bz, axis=0)) if residual else None
+                parts[method] = (Z.T @ bz, sq)
+            return parts
+        # P = Sigma^-1 - F Gi F' with F = Sigma^-1 X and Gi the inverse Gram matrix
+        rinv = self._rinv
+        k1, m, _ = self._core
+        f, gi = self.six, self.gram_inv
+        a = Z.T @ f
+        ag = a @ gi
+        w = k1 - _dot(k1, _dot(m, k1))
+        w = np.diag(w) if w.ndim == 1 else w
+        if not residual:
+            return {"ML": (w, None), "REML": (w - ag @ a.T, None)}
+        # Sigma^-1 Z = U N with N = I - M K1, so Z'Sigma^-2 Z = N'K2N
+        k2 = self._zrz(rinv**2)
+        mk2 = _dot(m, k2)
+        nmat = (1.0 if m.ndim == 1 else np.eye(model.r)) - _dot(m, k1)
+        nk2n = nmat * _dot(k2, nmat)
+        diag = nk2n if nk2n.ndim == 1 else np.sum(nk2n, axis=0)
+        tr_inv = np.sum(rinv) - np.sum(m * k2)
+        tr_inv2 = np.sum(rinv**2) - 2.0 * np.sum(m * self._zrz(rinv**3)) + np.sum(mk2 * mk2.T)
+        e = self.solve(f)
+        ff = f.T @ f
+        gff = gi @ ff
+        p_sq = (
+            tr_inv - np.trace(gff),
+            tr_inv2 - 2.0 * np.sum(gi * (f.T @ e)) + np.sum(gff * gff.T),
+            diag - 2.0 * np.sum((Z.T @ e) * ag, axis=1) + np.sum((ag @ ff) * ag, axis=1),
+        )
+        return {"ML": (w, (tr_inv, tr_inv2, diag)), "REML": (w - ag @ a.T, p_sq)}
+
+    def _trace_pair(self, w: np.ndarray, sq) -> tuple[np.ndarray, np.ndarray]:
+        # V_k = Z_kZ_k': tr(BV_k) = tr(W_kk), tr(BV_kBV_l) = ||W_kl||^2 and
+        # tr(BV_0BV_k) = tr(Z_k'B^2Z_k); forming W_kl keeps a zero trace exact
+        slices = self.model.family.block_slices
+        w = 0.5 * (w + w.T)
+        t1 = [np.trace(w[i, i]) for i in slices]
+        t2 = [[np.sum(w[i, j] ** 2) for j in slices] for i in slices]
+        if sq is not None:
+            tr_b, tr_b2, zb2z = sq
+            col = [np.sum(zb2z[i]) for i in slices]
+            t1 = [tr_b] + t1
+            t2 = [[tr_b2] + col] + [[c] + row for c, row in zip(col, t2)]
+        return np.array(t1), np.array(t2)
 
     def trace3(self, method: str) -> np.ndarray:
         """The s x s x s array tr(BV_iBV_jBV_k), symmetrized over index order."""

@@ -91,11 +91,13 @@ def starting_values(model: MixedModel, y, method: str = "REML") -> np.ndarray:
 
 
 def _ascent_direction(A: np.ndarray, score: np.ndarray) -> np.ndarray:
-    """(-A)^-1 score, degrading to the normalized score when -A is not pd."""
+    """(-A)^-1 score, degrading to the score scaled to unit max-norm when -A
+    is not pd, so that the first trial step has length 1 whatever the
+    score's scale and can reach sigma_i = 0 by projection."""
     try:
         np.linalg.cholesky(-A)
     except np.linalg.LinAlgError:
-        return score / max(1.0, float(np.max(np.abs(score))))
+        return score / float(np.max(np.abs(score)))
     return np.linalg.solve(-A, score)
 
 

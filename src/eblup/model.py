@@ -188,6 +188,14 @@ class MixedModel:
         return tuple(mats)
 
     @cached_property
+    def z_row_values(self) -> np.ndarray | None:
+        """The one nonzero of each row of Z (0 for an empty row), or None
+        when some row has two; then Z'DZ is diagonal for every diagonal D."""
+        if np.count_nonzero(self.Z, axis=1).max(initial=0) > 1:
+            return None
+        return self.Z.sum(axis=1)
+
+    @cached_property
     def dg_diags(self) -> tuple[np.ndarray, ...]:
         """Diagonals of the constant dG / d sigma_i.
 

@@ -264,6 +264,11 @@ def test_rounding_in_the_projection_flips_no_flag(perturb, unperturbed_fits, mon
         return 0.5 * (P + P.T) if perturb == "symmetrize" else P * (1.0 + 2.0**-50)
 
     monkeypatch.setattr(SigmaPoint, "_project", perturbed)
+    if perturb == "scale":
+        # these fits run on the r-space backend, which takes P's rank-p part
+        # through gram_inv instead of _project
+        gram_inv = SigmaPoint.__dict__["gram_inv"]
+        monkeypatch.setattr(gram_inv, "func", lambda sp, f=gram_inv.func: f(sp) * (1.0 + 2.0**-50))
     for (case, want), (_, got) in zip(unperturbed_fits, boundary_and_plateau_fits()):
         assert want.converged and got.converged, case
         np.testing.assert_allclose(

@@ -224,9 +224,18 @@ def test_report_assembly_identities(method):
 
 @pytest.mark.parametrize("method", ["REML", "ML"])
 def test_fit_workspace_serves_eblup_and_mse(method, monkeypatch):
+    # nested error has a diagonal r-space core, crossed ANOVA a dense r x r one
+    for kind in ("nested-error", "anova"):
+        _check_workspace_reuse(kind, method, monkeypatch)
+
+
+def _check_workspace_reuse(kind, method, monkeypatch):
     gen = rng(563)
-    model, y, _ = MAKERS["nested-error"](gen, t=9)
+    model, y, _ = MAKERS[kind](gen, **({"t": 9} if kind == "nested-error" else {}))
+    if kind == "anova":  # random effects in y keep sigma-hat inside
+        y = y + 2.0 * model.Z @ gen.normal(size=model.r)
     res = fit(model, y, method)
+    assert res.workspace.r_space
     tgt = area_target(model, 4)
     sigma = res.sigma_hat
 
@@ -239,9 +248,11 @@ def test_fit_workspace_serves_eblup_and_mse(method, monkeypatch):
     }
     assert kept <= {"sigma_mat", "_cho"}
 
-    calls, builds = [], []
+    calls, builds, cores = [], [], []
     cho_factor = _linalg.sla.cho_factor
     b_matrix = _linalg.SigmaPoint.b_matrix
+    core = _linalg.SigmaPoint.__dict__["_core"]
+    build_core = core.func
 
     def counting(*args, **kwargs):
         calls.append(1)
@@ -251,11 +262,20 @@ def test_fit_workspace_serves_eblup_and_mse(method, monkeypatch):
         builds.append(method)
         return b_matrix(self, method)
 
+    def counting_core(self):
+        cores.append(1)
+        return build_core(self)
+
     monkeypatch.setattr(_linalg.sla, "cho_factor", counting)
     monkeypatch.setattr(_linalg.SigmaPoint, "b_matrix", counting_b)
+    monkeypatch.setattr(core, "func", counting_core)
+    # the counters see a fresh point's factorization
+    _linalg.SigmaPoint(model, sigma).solve(y)
+    assert cores == [1] and len(calls) == (kind == "anova")
+    cores.clear(), calls.clear()
     pred = eblup(model, res, y, tgt)
     rep = mse_estimators(model, res, y, tgt, data_specific=True)
-    assert calls == []  # everything ran on the fit's factorization
+    assert calls == [] and cores == []  # everything ran on the fit's factorization
     assert builds == []  # and on the traces the fit left on it
     monkeypatch.undo()
 
