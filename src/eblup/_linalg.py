@@ -15,18 +15,23 @@ alone picks one of two backends:
       Sigma^-1 = R^-1 - U M U',  M = H C^-1 H,  C = I + H Z'R^-1 Z H,
       log|Sigma| = sum_i log R_ii + log|C|,
 
-  so nothing n x n is formed.  When every row of Z has at most one nonzero
-  (one random-effect block: Fay-Herriot, nested error) Z'R^-j Z and C are
-  diagonal and are kept as vectors; otherwise C takes one r x r Cholesky
-  factorization.  The traces come from the r x r matrix Z'BZ and, for
-  V_0 = I, from tr(B), tr(B^2) and the diagonal of Z'B^2Z.
+  so nothing n x n is formed.  Products with Z go through the model's
+  integer codes (``MixedModel.z_mul``, ``zt_mul``), O(n) per coded block.
+  When Z is one block whose rows hold at most one nonzero (Fay-Herriot,
+  nested error) Z'R^-j Z and C are vectors, a vector solve is one
+  ``bincount`` and one gather, and the traces of W = Z'BZ, a diagonal less
+  a rank-p term, form no r x r array.  Otherwise Z'R^-j Z is one
+  ``bincount`` over pairs of codes, C takes one r x r Cholesky
+  factorization and the traces read the r x r W.  For V_0 = I they also
+  need tr(B), tr(B^2) and the diagonal of Z'B^2Z.
 * dense, when some R_ii is 0 (sigma_0 = 0 with d = 0).  Only the n x n
   Cholesky factorization of Sigma can then tell whether Sigma is positive
   definite; the traces read the dense B, built inside the call and dropped.
 
-``trace3`` and ``b_matrix`` form the dense B under either backend: they
-serve the third-order traces (third derivatives, the MSE w vector) and the
-explicit projection, which no fit iterate reads.
+``trace3`` and ``b_matrix`` form the dense B under either backend, and
+``trace3`` the dense V_i: they serve the third-order traces (third
+derivatives, the MSE w vector) and the explicit projection, which no fit
+iterate, EBLUP or MSE estimator reads.
 """
 
 from __future__ import annotations
@@ -38,12 +43,7 @@ import numpy as np
 from scipy import linalg as sla
 
 from .exceptions import NotPositiveDefinite, SingularGram
-from .model import MixedModel, sigma_as_array, sigma_matrix
-
-
-def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """a @ b, where a 1-d ``a`` stands for the diagonal matrix diag(a)."""
-    return (a * b.T).T if a.ndim == 1 else a @ b
+from .model import MixedModel, _dot, sigma_as_array, sigma_matrix
 
 
 class SigmaPoint:
@@ -89,8 +89,22 @@ class SigmaPoint:
 
     def _zrz(self, w: np.ndarray) -> np.ndarray:
         """Z' diag(w) Z, as the vector of its diagonal when that is all of it."""
-        Z, zv = self.model.Z, self.model.z_row_values
-        return Z.T @ (zv * w) if zv is not None else (Z.T * w) @ Z
+        model = self.model
+        codes, vals, dense = model.z_codes
+        r = model.r
+        if len(codes) == 1 and not dense:  # one block, one nonzero per row
+            return np.bincount(codes[0], vals[0] ** 2 * w, r)
+        if dense:
+            return model.zt_mul(_dot(w, model.z_mul(np.eye(r))))
+        # entry (a, b) sums w_i Z_ia Z_ib over the rows, block pair by block pair
+        pairs = codes[:, None] * r + codes
+        return np.bincount(pairs.ravel(), (vals[:, None] * vals * w).ravel(), r * r).reshape(r, r)
+
+    @cached_property
+    def _one_hot(self) -> tuple[np.ndarray, np.ndarray]:
+        """(codes, u) with U = R^-1 Z = u[i] in column codes[i] of row i."""
+        codes, vals, _ = self.model.z_codes
+        return codes[0], vals[0] * self._rinv
 
     @cached_property
     def _core(self) -> tuple[np.ndarray, np.ndarray, float]:
@@ -115,8 +129,11 @@ class SigmaPoint:
         b = np.asarray_chkfinite(b)
         if not self.r_space:
             return sla.cho_solve(self._cho, b, check_finite=False)
-        Z, rinv = self.model.Z, self._rinv
-        return _dot(rinv, b - Z @ _dot(self._core[1], Z.T @ _dot(rinv, b)))
+        model, rinv, m = self.model, self._rinv, self._core[1]
+        if b.ndim == 1 and m.ndim == 1:
+            codes, u = self._one_hot
+            return rinv * b - u * (m * np.bincount(codes, u * b, len(m)))[codes]
+        return _dot(rinv, b - model.z_mul(_dot(m, model.zt_mul(_dot(rinv, b)))))
 
     @cached_property
     def logdet_sigma(self) -> float:
@@ -145,7 +162,9 @@ class SigmaPoint:
             raise SingularGram("X' Sigma^-1 X is numerically singular") from err
 
     def gram_solve(self, b: np.ndarray) -> np.ndarray:
-        return sla.cho_solve(self._gram_cho, b)
+        """(X'Sigma^-1 X)^-1 b for a finite b, which is not checked: every
+        caller passes a product of finite solves, X and a target."""
+        return sla.cho_solve(self._gram_cho, b, check_finite=False)
 
     @cached_property
     def gram_inv(self) -> np.ndarray:
@@ -189,27 +208,31 @@ class SigmaPoint:
         return self._traces[method]
 
     def _trace_parts(self) -> dict:
-        """Per method, W = Z'BZ and, with a residual, (tr B, tr B^2, diag Z'B^2Z)."""
+        """Per method, the block traces (tr W_kk, ||W_kl||^2) of W = Z'BZ and,
+        with a residual, (tr B, tr B^2, diag Z'B^2Z)."""
         model = self.model
-        Z, residual = model.Z, model.family.residual
+        residual, slices = model.family.residual, model.family.block_slices
         if not self.r_space:
-            inv = self.b_matrix("ML")
+            Z, inv = model.Z, self.b_matrix("ML")
             parts = {}
             for method, B in (("ML", inv), ("REML", self._project(inv))):
                 bz = B @ Z
                 sq = (np.trace(B), np.sum(B * B), np.sum(bz * bz, axis=0)) if residual else None
-                parts[method] = (Z.T @ bz, sq)
+                parts[method] = (_block_traces(Z.T @ bz, slices), sq)
             return parts
         # P = Sigma^-1 - F Gi F' with F = Sigma^-1 X and Gi the inverse Gram matrix
         rinv = self._rinv
         k1, m, _ = self._core
         f, gi = self.six, self.gram_inv
-        a = Z.T @ f
+        a = model.zt_mul(f)
         ag = a @ gi
         w = k1 - _dot(k1, _dot(m, k1))
-        w = np.diag(w) if w.ndim == 1 else w
+        if w.ndim == 1:  # one block on a diagonal core: W = diag(w) - [REML] a Gi a'
+            ml, reml = _rank_p_traces(w, a[:, :0], a[:, :0]), _rank_p_traces(w, ag, a)
+        else:
+            ml, reml = _block_traces(w, slices), _block_traces(w - ag @ a.T, slices)
         if not residual:
-            return {"ML": (w, None), "REML": (w - ag @ a.T, None)}
+            return {"ML": (ml, None), "REML": (reml, None)}
         # Sigma^-1 Z = U N with N = I - M K1, so Z'Sigma^-2 Z = N'K2N
         k2 = self._zrz(rinv**2)
         mk2 = _dot(m, k2)
@@ -224,17 +247,15 @@ class SigmaPoint:
         p_sq = (
             tr_inv - np.trace(gff),
             tr_inv2 - 2.0 * np.sum(gi * (f.T @ e)) + np.sum(gff * gff.T),
-            diag - 2.0 * np.sum((Z.T @ e) * ag, axis=1) + np.sum((ag @ ff) * ag, axis=1),
+            diag - 2.0 * np.sum(model.zt_mul(e) * ag, axis=1) + np.sum((ag @ ff) * ag, axis=1),
         )
-        return {"ML": (w, (tr_inv, tr_inv2, diag)), "REML": (w - ag @ a.T, p_sq)}
+        return {"ML": (ml, (tr_inv, tr_inv2, diag)), "REML": (reml, p_sq)}
 
-    def _trace_pair(self, w: np.ndarray, sq) -> tuple[np.ndarray, np.ndarray]:
+    def _trace_pair(self, wt, sq) -> tuple[np.ndarray, np.ndarray]:
         # V_k = Z_kZ_k': tr(BV_k) = tr(W_kk), tr(BV_kBV_l) = ||W_kl||^2 and
-        # tr(BV_0BV_k) = tr(Z_k'B^2Z_k); forming W_kl keeps a zero trace exact
+        # tr(BV_0BV_k) = tr(Z_k'B^2Z_k)
         slices = self.model.family.block_slices
-        w = 0.5 * (w + w.T)
-        t1 = [np.trace(w[i, i]) for i in slices]
-        t2 = [[np.sum(w[i, j] ** 2) for j in slices] for i in slices]
+        t1, t2 = wt
         if sq is not None:
             tr_b, tr_b2, zb2z = sq
             col = [np.sum(zb2z[i]) for i in slices]
@@ -252,6 +273,22 @@ class SigmaPoint:
                 left = bi @ bj
                 t3[i, j] = [np.sum(left * bk.T) for bk in bv]
         return symmetrize3(t3)
+
+
+def _block_traces(w: np.ndarray, slices) -> tuple[list, list]:
+    """(tr W_kk, ||W_kl||^2) of the symmetrized r x r W, block by block;
+    forming W_kl keeps a zero trace exact."""
+    w = 0.5 * (w + w.T)
+    return [np.trace(w[i, i]) for i in slices], [[np.sum(w[i, j] ** 2) for j in slices] for i in slices]
+
+
+def _rank_p_traces(w: np.ndarray, a: np.ndarray, b: np.ndarray) -> tuple[list, list]:
+    """(tr W, ||W||^2) of one block's W = diag(w) - ab', without forming W."""
+    c = np.sum(a * b, axis=1)
+    d = w - c
+    # the off-diagonal part of ab': a sum of squares, empty for one effect
+    off = max(float(np.sum((a.T @ a) * (b.T @ b)) - c @ c), 0.0) if len(w) > 1 else 0.0
+    return [np.sum(d)], [[d @ d + off]]
 
 
 def symmetrize3(a: np.ndarray) -> np.ndarray:

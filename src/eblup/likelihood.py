@@ -67,8 +67,9 @@ class InformationMatrix:
             ) from err
 
     def fisher_solve(self, b: np.ndarray) -> np.ndarray:
-        """(-A)^-1 b; raises SingularInformation when -A has no Cholesky factor."""
-        return sla.cho_solve(self._fisher_cho, b)
+        """(-A)^-1 b for a finite b, which is not checked; raises
+        SingularInformation when -A has no Cholesky factor."""
+        return sla.cho_solve(self._fisher_cho, b, check_finite=False)
 
     @cached_property
     def fisher_inv(self) -> np.ndarray:
@@ -106,26 +107,28 @@ def loglik_at(sp: SigmaPoint, y: np.ndarray, method: str) -> float:
     return profile_loglik_at(sp, y)
 
 
+def _v_cols(model: MixedModel, x: np.ndarray) -> np.ndarray:
+    """The n x s matrix with columns V_i x."""
+    return np.column_stack([model.v_mul(i, x) for i in range(model.s)])
+
+
 def score_at(sp: SigmaPoint, y: np.ndarray, method: str) -> np.ndarray:
     py = apply_p(sp, y)
-    quad = np.array([py @ v @ py for v in sp.model.v_mats])
+    quad = np.array([py @ sp.model.v_mul(i, py) for i in range(sp.model.s)])
     return 0.5 * (quad - sp.traces(method)[0])
 
 
 def hessian_at(sp: SigmaPoint, y: np.ndarray, method: str) -> np.ndarray:
-    py = apply_p(sp, y)
-    w = [v @ py for v in sp.model.v_mats]
-    pw = [apply_p(sp, wi) for wi in w]
-    quad = np.array([[wi @ pwj for pwj in pw] for wi in w])
-    H = 0.5 * sp.traces(method)[1] - quad
+    w = _v_cols(sp.model, apply_p(sp, y))
+    H = 0.5 * sp.traces(method)[1] - w.T @ apply_p(sp, w)
     return 0.5 * (H + H.T)
 
 
 def third_derivatives_at(sp: SigmaPoint, y: np.ndarray, method: str) -> np.ndarray:
-    py = apply_p(sp, y)
-    h = [apply_p(sp, v @ py) for v in sp.model.v_mats]
+    model = sp.model
+    h = apply_p(sp, _v_cols(model, apply_p(sp, y)))
     # the three cyclic quadratic forms h_i'V_jh_k agree once symmetrized
-    quad = np.array([[[hi @ (v @ hk) for hk in h] for v in sp.model.v_mats] for hi in h])
+    quad = np.array([h.T @ model.v_mul(j, h) for j in range(model.s)])
     return 3.0 * symmetrize3(quad) - sp.trace3(method)
 
 

@@ -16,6 +16,15 @@ V_k = Z_k Z_k' for the k-th block of columns of Z.  The builders fill it in:
   indicator matrix; Sigma is block diagonal with blocks
   sigma_0 I_{n_i} + sigma_1 J_{n_i}.
 
+Z is stored dense and also described once per model by integer codes
+(``MixedModel.z_codes``): a block whose rows hold at most one nonzero
+(Fay-Herriot's I_t, nested error, one-hot ANOVA blocks) keeps each row's
+column and value, any other block its dense slice.  Products go through
+``z_mul`` (Z g = vals g[codes]), ``zt_mul`` (Z'x = bincount(codes, vals x))
+and ``v_mul`` (V_i x = Z dG_i Z'x, x itself for the residual), O(n) per
+coded block; ``v_mats`` and ``sigma_matrix`` serve only the dense
+factorization and the checks.
+
 Models are immutable; all numeric work happens in pure functions that take the
 model plus a parameter point.
 """
@@ -42,6 +51,11 @@ from .exceptions import (
 # parameter space".  Values below -BOUNDARY_TOL are rejected, values within
 # the tolerance are snapped to the boundary and flagged.
 BOUNDARY_TOL = 1e-12
+
+
+def _dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """a @ b, where a 1-d ``a`` stands for the diagonal matrix diag(a)."""
+    return (a * b.T).T if a.ndim == 1 else a @ b
 
 
 # --------------------------------------------------------------------------
@@ -188,12 +202,59 @@ class MixedModel:
         return tuple(mats)
 
     @cached_property
-    def z_row_values(self) -> np.ndarray | None:
-        """The one nonzero of each row of Z (0 for an empty row), or None
-        when some row has two; then Z'DZ is diagonal for every diagonal D."""
-        if np.count_nonzero(self.Z, axis=1).max(initial=0) > 1:
-            return None
-        return self.Z.sum(axis=1)
+    def z_codes(self) -> tuple[np.ndarray, np.ndarray, tuple[tuple[slice, np.ndarray], ...]]:
+        """Z by blocks, as (codes, vals, dense).
+
+        Row i of the k-th block whose rows hold at most one nonzero has
+        vals[k, i] in column codes[k, i] of Z (0 in the block's first
+        column for an empty row); codes and vals are q x n.  Every other
+        block keeps its dense (columns, Z_k) slice in ``dense``.
+        """
+        codes, vals, dense = [], [], []
+        for cols in self.family.block_slices:
+            zk = self.Z[:, cols]
+            nz = zk != 0
+            if nz.sum(axis=1).max(initial=0) > 1:
+                dense.append((cols, zk))
+                continue
+            c = nz.argmax(axis=1)
+            codes.append(c + cols.start)
+            vals.append(zk[np.arange(self.n), c])
+        shape = (len(codes), self.n)
+        return np.array(codes, dtype=np.intp).reshape(shape), np.array(vals).reshape(shape), tuple(dense)
+
+    def z_mul(self, g: np.ndarray) -> np.ndarray:
+        """Z g for a length-r vector or an r x k matrix g."""
+        codes, vals, dense = self.z_codes
+        terms = [_dot(v, g[c]) for c, v in zip(codes, vals)] + [zk @ g[cols] for cols, zk in dense]
+        return sum(terms[1:], terms[0]) if terms else np.zeros((self.n,) + g.shape[1:])
+
+    @cached_property
+    def _col_codes(self) -> dict[int, np.ndarray]:
+        """Per column count k, the codes of an n x k matrix's entries in Z'x."""
+        return {}
+
+    def zt_mul(self, x: np.ndarray) -> np.ndarray:
+        """Z'x for a length-n vector or an n x k matrix x, through one bincount."""
+        codes, vals, dense = self.z_codes
+        if x.ndim == 1:
+            out = np.bincount(codes.ravel(), (vals * x).ravel(), self.r)
+        else:
+            k = x.shape[1]
+            idx = self._col_codes.get(k)
+            if idx is None:
+                idx = self._col_codes[k] = (codes[..., None] * k + np.arange(k)).ravel()
+            out = np.bincount(idx, (vals[..., None] * x).ravel(), self.r * k).reshape(self.r, k)
+        for cols, zk in dense:
+            out[cols] = zk.T @ x
+        return out
+
+    def v_mul(self, i: int, x: np.ndarray) -> np.ndarray:
+        """V_i x for a length-n vector or an n x k matrix x: x itself for the
+        residual, Z (dG_i Z'x) for a random-effect block."""
+        if i == 0 and self.family.residual:
+            return x
+        return self.z_mul(_dot(self.dg_diags[i], self.zt_mul(x)))
 
     @cached_property
     def dg_diags(self) -> tuple[np.ndarray, ...]:
@@ -409,6 +470,8 @@ class PredictionTarget:
         m = np.array(self.m, dtype=float)
         l.setflags(write=False)
         m.setflags(write=False)
+        if not (np.all(np.isfinite(l)) and np.all(np.isfinite(m))):
+            raise ValueError("target l and m must be finite")
         object.__setattr__(self, "l", l)
         object.__setattr__(self, "m", m)
 
@@ -430,11 +493,11 @@ def area_target(model: MixedModel, i: int) -> PredictionTarget:
     """
     if not 0 <= i < model.r:
         raise IndexOutOfRange(f"area {i} outside 0..{model.r - 1}")
-    rows = model.Z[:, i] != 0
-    if not np.any(rows):
-        raise EmptyGroup(f"no observation loads on effect {i}")
     m = np.zeros(model.r)
     m[i] = 1.0
+    rows = model.z_mul(m) != 0
+    if not np.any(rows):
+        raise EmptyGroup(f"no observation loads on effect {i}")
     l = model.X[rows].mean(axis=0)
     name = model.effect_labels[i] if model.effect_labels else str(i)
     return PredictionTarget(l=l, m=m, name=name)

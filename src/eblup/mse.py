@@ -69,7 +69,7 @@ class DeltaTerms:
 
 def _g1_at(sp: SigmaPoint, target: PredictionTarget) -> float:
     gm = sp.g_diag * target.m
-    c = sp.model.Z @ gm
+    c = sp.model.z_mul(gm)
     val = float(target.m @ gm - c @ sp.solve(c))
     return max(val, 0.0)
 
@@ -146,13 +146,13 @@ def g10(model: MixedModel, sigma, target: PredictionTarget) -> float:
 
 
 def _dg1_at(sp: SigmaPoint, target: PredictionTarget) -> np.ndarray:
+    # m'dG_i m - 2 m'dG_i Z's + s'V_i s: s's for the residual and
+    # (m - Z's)'dG_i (m - Z's) for a block
     model = sp.model
     sc = weights_at(sp, target)
-    out = np.empty(model.s)
-    for i, (d, v) in enumerate(zip(model.dg_diags, model.v_mats)):
-        dm = d * target.m
-        out[i] = target.m @ dm - 2.0 * ((model.Z @ dm) @ sc) + sc @ (v @ sc)
-    return out
+    res = [sc @ sc] if model.family.residual else []
+    d = target.m - model.zt_mul(sc)
+    return np.array(res + [dg @ d**2 for dg in model.dg_diags[len(res) :]])
 
 
 def dg1_dsigma(model: MixedModel, sigma, target: PredictionTarget) -> np.ndarray:

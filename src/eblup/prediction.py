@@ -36,7 +36,7 @@ class BlupResult:
 
 def weights_at(sp: SigmaPoint, target: PredictionTarget) -> np.ndarray:
     """The weight vector s(sigma) = Sigma^-1 Z G m at the workspace's point."""
-    return sp.solve(sp.model.Z @ (sp.g_diag * target.m))
+    return sp.solve(sp.model.z_mul(sp.g_diag * target.m))
 
 
 def blup_at(sp: SigmaPoint, y: np.ndarray, target: PredictionTarget) -> BlupResult:
@@ -45,7 +45,7 @@ def blup_at(sp: SigmaPoint, y: np.ndarray, target: PredictionTarget) -> BlupResu
     beta = sp.gls(y)
     resid = y - model.X @ beta
     s_w = weights_at(sp, target)
-    v_tilde = sp.g_diag * (model.Z.T @ sp.solve(resid))
+    v_tilde = sp.g_diag * model.zt_mul(sp.solve(resid))
     value = float(target.l @ beta + s_w @ resid)
     return BlupResult(value=value, s_weights=s_w, beta_used=beta, v_tilde=v_tilde)
 
@@ -57,12 +57,13 @@ def blup(model: MixedModel, sigma, y, target: PredictionTarget) -> BlupResult:
 
 
 def grad_s_rhs_at(sp: SigmaPoint, target: PredictionTarget) -> np.ndarray:
-    """Sigma times the weight gradient: column i is Z (dG/dsigma_i) m - V_i s."""
+    """Sigma times the weight gradient: column i is Z (dG/dsigma_i) m - V_i s,
+    that is -s for the residual and Z dG_i (m - Z's) for a block."""
     model = sp.model
     sc = weights_at(sp, target)
-    return np.column_stack(
-        [model.Z @ (d * target.m) - v @ sc for d, v in zip(model.dg_diags, model.v_mats)]
-    )
+    res = [-sc] if model.family.residual else []
+    d = target.m - model.zt_mul(sc)
+    return np.column_stack(res + [model.z_mul(dg * d) for dg in model.dg_diags[len(res) :]])
 
 
 def grad_s(model: MixedModel, sigma, target: PredictionTarget) -> np.ndarray:

@@ -54,7 +54,7 @@ def _draw(model: MixedModel, sigma, beta, seed: int) -> tuple[np.ndarray, np.nda
     # G and R are diagonal, so their square roots scale the draws elementwise
     v = np.sqrt(model.family.g_diag(values)) * rng.standard_normal(model.r)
     e = np.sqrt(model.family.r_diag(values)) * rng.standard_normal(model.n)
-    return model.X @ beta + model.Z @ v + e, v
+    return model.X @ beta + model.z_mul(v) + e, v
 
 
 def simulate_dataset(model: MixedModel, sigma_true, beta_true, seed: int) -> np.ndarray:

@@ -15,6 +15,7 @@ from eblup import (
     simulate_dataset,
     starting_values,
 )
+from eblup import _linalg
 from eblup._linalg import SigmaPoint
 from eblup.likelihood import effective_dims
 
@@ -257,20 +258,30 @@ def unperturbed_fits():
 
 @pytest.mark.parametrize("perturb", ["symmetrize", "scale"])
 def test_rounding_in_the_projection_flips_no_flag(perturb, unperturbed_fits, monkeypatch):
-    project = SigmaPoint._project
+    # these fits run on the r-space backend with a diagonal core, whose
+    # traces read W = Z'BZ = diag(w) - ab' through _rank_p_traces, and which
+    # takes P's rank-p part ab' through gram_inv
+    calls = []
+    if perturb == "symmetrize":
+        rank_p_traces = _linalg._rank_p_traces
 
-    def perturbed(self, inv):
-        P = project(self, inv)
-        return 0.5 * (P + P.T) if perturb == "symmetrize" else P * (1.0 + 2.0**-50)
+        def perturbed(w, a, b):
+            calls.append(1)
+            # the traces of diag(w) - (ab' + ba')/2, equal to W's but for rounding
+            return rank_p_traces(w, np.hstack([a, b]) / 2.0, np.hstack([b, a]))
 
-    monkeypatch.setattr(SigmaPoint, "_project", perturbed)
-    if perturb == "scale":
-        # these fits run on the r-space backend, which takes P's rank-p part
-        # through gram_inv instead of _project
+        monkeypatch.setattr(_linalg, "_rank_p_traces", perturbed)
+    else:
         gram_inv = SigmaPoint.__dict__["gram_inv"]
-        monkeypatch.setattr(gram_inv, "func", lambda sp, f=gram_inv.func: f(sp) * (1.0 + 2.0**-50))
+
+        def perturbed(sp, f=gram_inv.func):
+            calls.append(1)
+            return f(sp) * (1.0 + 2.0**-50)
+
+        monkeypatch.setattr(gram_inv, "func", perturbed)
     for (case, want), (_, got) in zip(unperturbed_fits, boundary_and_plateau_fits()):
         assert want.converged and got.converged, case
         np.testing.assert_allclose(
             got.sigma_hat.values, want.sigma_hat.values, rtol=1e-6, atol=1e-10
         )
+    assert calls, "the perturbed function never ran"
